@@ -673,7 +673,8 @@ class FleetSimulation:
     def manifest_digest(self) -> str:
         """SHA-256 over the canonical manifest encoding."""
         encoded = json.dumps(
-            self.manifest(), sort_keys=True, separators=(",", ":")
+            self.manifest(), sort_keys=True, separators=(",", ":"),
+            allow_nan=False,
         )
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
@@ -732,7 +733,8 @@ class FleetServeReport:
     @property
     def manifest_digest(self) -> str:
         encoded = json.dumps(
-            self.manifest(), sort_keys=True, separators=(",", ":")
+            self.manifest(), sort_keys=True, separators=(",", ":"),
+            allow_nan=False,
         )
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 

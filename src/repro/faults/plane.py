@@ -42,7 +42,9 @@ import random
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, ContextManager, Dict, Iterator, List, Optional, Tuple,
+)
 
 
 class FaultInjected(RuntimeError):
@@ -271,12 +273,36 @@ def experiment_scope(name: str) -> Iterator[None]:
         _scopes.value = previous
 
 
-@contextmanager
-def fault_site(site: str) -> Iterator[None]:
+class _NoFault:
+    """The context manager every site returns while no plane is installed."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+
+_NO_FAULT = _NoFault()
+
+
+def fault_site(site: str) -> ContextManager[None]:
     """Declare a named injection site around the ``with`` body.
 
-    A no-op (no RNG, no metrics, no spans) unless a plane is installed.
+    With no plane installed this returns one shared no-op context manager:
+    no lock, no generator, no allocation, no RNG, metrics or spans.  The
+    unlocked read of the installed plane is a single reference load, and
+    ``install``/``deactivate`` take effect at the next site entered.
     """
+    if _active is None:
+        return _NO_FAULT
+    return _planned_site(site)
+
+
+@contextmanager
+def _planned_site(site: str) -> Iterator[None]:
     plane = active_plane()
     if plane is not None:
         plane.maybe_raise(site)

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
@@ -103,6 +104,11 @@ class ResolvedConfig:
     ``values`` holds every symbolic option's tristate; ``enabled`` is the
     frozen set of option names with value > ``n`` (the paper's "selected
     options" unit of account).
+
+    ``values`` is read-only (a ``MappingProxyType`` over a private copy),
+    so ``enabled``, ``builtin`` and ``modules`` are computed once per
+    instance and stored.  They stay plain properties: the stored value
+    lives in a private attribute set through ``object.__setattr__``.
     """
 
     tree: KconfigTree
@@ -117,23 +123,50 @@ class ResolvedConfig:
     #: replay would otherwise miss; empty on hand-built configs.
     churned: FrozenSet[str] = frozenset()
 
+    def __post_init__(self) -> None:
+        # Copy, then seal: a caller's dict must not be able to change the
+        # stored sets below.  A proxy is taken as already sealed, which is
+        # how with_name and _rebind share one config's values.
+        if not isinstance(self.values, MappingProxyType):
+            object.__setattr__(
+                self, "values", MappingProxyType(dict(self.values))
+            )
+        object.__setattr__(self, "_enabled", None)
+        object.__setattr__(self, "_builtin", None)
+        object.__setattr__(self, "_modules", None)
+
     @property
     def enabled(self) -> FrozenSet[str]:
-        return frozenset(
-            name for name, value in self.values.items() if value is not Tristate.NO
-        )
+        enabled = self._enabled
+        if enabled is None:
+            enabled = frozenset(
+                name for name, value in self.values.items()
+                if value is not Tristate.NO
+            )
+            object.__setattr__(self, "_enabled", enabled)
+        return enabled
 
     @property
     def builtin(self) -> FrozenSet[str]:
-        return frozenset(
-            name for name, value in self.values.items() if value is Tristate.YES
-        )
+        builtin = self._builtin
+        if builtin is None:
+            builtin = frozenset(
+                name for name, value in self.values.items()
+                if value is Tristate.YES
+            )
+            object.__setattr__(self, "_builtin", builtin)
+        return builtin
 
     @property
     def modules(self) -> FrozenSet[str]:
-        return frozenset(
-            name for name, value in self.values.items() if value is Tristate.MODULE
-        )
+        modules = self._modules
+        if modules is None:
+            modules = frozenset(
+                name for name, value in self.values.items()
+                if value is Tristate.MODULE
+            )
+            object.__setattr__(self, "_modules", modules)
+        return modules
 
     def __contains__(self, name: str) -> bool:
         return self.values.get(name, Tristate.NO) is not Tristate.NO
@@ -977,7 +1010,7 @@ class Resolver:
         ).observe(iterations)
         return ResolvedConfig(
             tree=self.tree,
-            values=dict(engine.values),
+            values=engine.values,
             requested=dict(pinned),
             demoted=dict(engine.demoted),
             select_violations=tuple(sorted(engine.violations)),

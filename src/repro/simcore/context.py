@@ -21,8 +21,7 @@ neighbours.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator, List
+from typing import List
 
 from repro.simcore.clock import VirtualClock
 
@@ -51,12 +50,22 @@ def current_clock() -> VirtualClock:
     return stack[-1] if stack else _DEFAULT_CLOCK
 
 
-@contextmanager
-def use_clock(clock: VirtualClock) -> Iterator[VirtualClock]:
-    """Make *clock* the active clock for the dynamic extent of the body."""
-    stack = _stack()
-    stack.append(clock)
-    try:
-        yield clock
-    finally:
-        stack.pop()
+class use_clock:
+    """Make *clock* the active clock for the dynamic extent of the body.
+
+    A slotted class rather than a generator context manager: guests enter
+    it for every boot, serve step and event dispatch.
+    """
+
+    __slots__ = ("clock", "_stack")
+
+    def __init__(self, clock: VirtualClock) -> None:
+        self.clock = clock
+
+    def __enter__(self) -> VirtualClock:
+        stack = self._stack = _stack()
+        stack.append(self.clock)
+        return self.clock
+
+    def __exit__(self, *exc: object) -> None:
+        self._stack.pop()

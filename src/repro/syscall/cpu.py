@@ -82,15 +82,19 @@ class EntryMechanism(enum.Enum):
 
     @property
     def entry_ns(self) -> float:
-        return {
-            EntryMechanism.SYSCALL: SYSCALL_ENTRY_NS,
-            EntryMechanism.INT80: INT80_ENTRY_NS,
-            EntryMechanism.KML_CALL: KML_CALL_NS,
-        }[self]
+        return _ENTRY_NS[self]
 
     @property
     def crosses_privilege(self) -> bool:
         return self is not EntryMechanism.KML_CALL
+
+
+#: Round-trip entry cost per mechanism (read by ``EntryMechanism.entry_ns``).
+_ENTRY_NS: Mapping[EntryMechanism, float] = {
+    EntryMechanism.SYSCALL: SYSCALL_ENTRY_NS,
+    EntryMechanism.INT80: INT80_ENTRY_NS,
+    EntryMechanism.KML_CALL: KML_CALL_NS,
+}
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import (
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.simcore.clock import VirtualClock
 from repro.syscall.cpu import CpuCostModel, EntryMechanism
@@ -60,6 +62,22 @@ class SyscallResult:
     value: int = 0
 
 
+class BatchPlan(NamedTuple):
+    """What ``invoke_batch`` needs of one name tuple, looked up once.
+
+    Valid only for the ``cost_model`` and ``enabled_options`` objects it
+    was built from: both are immutable, so checking their identity is
+    enough to tell a plan that no longer applies.
+    """
+
+    cost_model: CpuCostModel
+    enabled_options: FrozenSet[str]
+    syscalls: Tuple[Syscall, ...]
+    #: Per-position jitter-free latency, ``cost_model.syscall_ns(...)``.
+    bases: Tuple[float, ...]
+    entry_ns: float
+
+
 @dataclass
 class SyscallEngine:
     """Dispatches simulated syscalls for one kernel instance.
@@ -77,6 +95,10 @@ class SyscallEngine:
     #: Optional usage recorder (see :mod:`repro.syscall.usage`).  Pure
     #: bookkeeping: attaching one never changes timing or counters.
     usage: Optional[UsageTrace] = None
+    #: ``invoke_batch`` plans by name tuple (see :meth:`batch_plan`).
+    _plans: Dict[Tuple[str, ...], BatchPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def clock_ns(self) -> float:
@@ -125,6 +147,37 @@ class SyscallEngine:
         except SyscallNotImplemented:
             return False
         return True
+
+    def batch_plan(self, names: Sequence[str]) -> Optional[BatchPlan]:
+        """The plan ``invoke_batch`` folds *names* with, or None if one of
+        them is gated out.
+
+        Plans live on this engine, one per name tuple, and are rebuilt
+        when ``cost_model`` or ``enabled_options`` is replaced.  A gated
+        tuple is never cached, and like ``supports`` the probe records
+        nothing.
+        """
+        key = tuple(names)
+        plan = self._plans.get(key)
+        if (plan is not None and plan.cost_model is self.cost_model
+                and plan.enabled_options is self.enabled_options):
+            return plan
+        try:
+            syscalls = tuple(self.lookup(name) for name in key)
+        except SyscallNotImplemented:
+            return None
+        model = self.cost_model
+        plan = BatchPlan(
+            cost_model=model,
+            enabled_options=self.enabled_options,
+            syscalls=syscalls,
+            bases=tuple(
+                model.syscall_ns(s.handler_ns, s.data_path) for s in syscalls
+            ),
+            entry_ns=model.entry.entry_ns,
+        )
+        self._plans[key] = plan
+        return plan
 
     def _lookup_recorded(self, name: str) -> Syscall:
         """``lookup`` that reports ENOSYS misses to the usage recorder.
@@ -198,15 +251,17 @@ class SyscallEngine:
             raise ValueError("cannot run a negative number of rounds")
         if work_ns < 0:
             raise ValueError("cannot perform negative work")
-        syscalls = [self._lookup_recorded(name) for name in names]
+        plan = self.batch_plan(names)
+        if plan is None:
+            # Gated batches are never planned: each call looks its names
+            # up again, so ENOSYS is raised -- and recorded -- every time.
+            for name in names:
+                self._lookup_recorded(name)
+            raise AssertionError("batch_plan refused an ungated batch")
         if repeats == 0:
             return self.clock_ns
-        bases = [
-            self.cost_model.syscall_ns(s.handler_ns, s.data_path)
-            for s in syscalls
-        ]
-        entry_ns = self.cost_model.entry.entry_ns
-        stride = len(names)
+        bases, entry_ns = plan.bases, plan.entry_ns
+        stride = len(bases)
         # Distinct jitter phases recur after period(stride) rounds.
         period = 1000 // math.gcd(stride, 1000) if stride else 1
         period = min(period, repeats)
@@ -240,7 +295,7 @@ class SyscallEngine:
         if self.usage is not None:
             # Closed-form attribution: one record per position with the
             # full repeat count -- no stepping, same totals as the loop.
-            for name, syscall in zip(names, syscalls):
+            for name, syscall in zip(names, plan.syscalls):
                 self.usage.record(name, syscall.option, repeats)
         return clock
 

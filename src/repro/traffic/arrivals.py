@@ -63,6 +63,28 @@ class TraceSpec:
     #: Zipf skew of the app mix over the curated serving profiles.
     zipf_s: float = 1.1
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("poisson", "diurnal", "bursty"):
+            raise ValueError(f"unknown trace kind {self.kind!r}")
+        if self.requests < 0:
+            raise ValueError(
+                f"requests cannot be negative, got {self.requests}"
+            )
+        for name in ("mean_rps", "period_s", "amplitude", "on_s", "off_s",
+                     "on_rps", "off_rps", "zipf_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("mean_rps", "on_rps", "off_rps", "on_s", "off_s"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} cannot be negative")
+        if self.period_s <= 0.0:
+            raise ValueError("diurnal period_s must be positive")
+        if not 0.0 <= self.amplitude <= 1.0:
+            raise ValueError("diurnal amplitude must be within [0, 1]")
+        if self.off_rps > self.on_rps:
+            raise ValueError("bursty traces need on_rps >= off_rps")
+
     def to_manifest(self) -> Dict[str, object]:
         doc: Dict[str, object] = {
             "kind": self.kind,
@@ -92,8 +114,6 @@ def poisson_trace(requests: int, mean_rps: float,
 def diurnal_trace(requests: int, mean_rps: float, period_s: float = 60.0,
                   amplitude: float = 0.95, zipf_s: float = 1.1) -> TraceSpec:
     """Raised-cosine day/night arrivals (starts at the trough)."""
-    if not 0.0 <= amplitude <= 1.0:
-        raise ValueError("diurnal amplitude must be within [0, 1]")
     return TraceSpec(kind="diurnal", requests=requests, mean_rps=mean_rps,
                      period_s=period_s, amplitude=amplitude, zipf_s=zipf_s)
 
@@ -102,8 +122,6 @@ def bursty_trace(requests: int, on_rps: float, off_rps: float,
                  on_s: float = 1.0, off_s: float = 4.0,
                  zipf_s: float = 1.1) -> TraceSpec:
     """On/off modulated arrivals (burst storms separated by lulls)."""
-    if off_rps > on_rps:
-        raise ValueError("bursty traces need on_rps >= off_rps")
     return TraceSpec(kind="bursty", requests=requests, mean_rps=0.0,
                      on_s=on_s, off_s=off_s, on_rps=on_rps, off_rps=off_rps,
                      zipf_s=zipf_s)

@@ -45,6 +45,11 @@ class WarmPoolPolicy:
             raise ValueError("pool floors cannot be negative")
         if self.max_per_app < 1 or self.max_total < 1:
             raise ValueError("pool ceilings must be at least 1")
+        if self.min_warm > self.max_per_app:
+            raise ValueError(
+                f"min_warm ({self.min_warm}) cannot exceed "
+                f"max_per_app ({self.max_per_app})"
+            )
 
     @property
     def idle_timeout_ns(self) -> Optional[float]:

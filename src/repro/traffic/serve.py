@@ -203,7 +203,8 @@ class ServingReport:
     def manifest_digest(self) -> str:
         """SHA-256 over the canonical manifest encoding."""
         encoded = json.dumps(
-            self.manifest(), sort_keys=True, separators=(",", ":")
+            self.manifest(), sort_keys=True, separators=(",", ":"),
+            allow_nan=False,
         )
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 

@@ -99,8 +99,10 @@ class LinuxServerStack:
         what lets interleaved guests reproduce the sequential oracle's
         manifest exactly.  Profiles naming a config-gated syscall take
         the stepped loop, preserving its charge-then-raise semantics.
+        The probe is the engine's cached batch plan, which
+        ``invoke_batch`` then reuses.
         """
-        if all(self.engine.supports(name) for name in profile.syscalls):
+        if self.engine.batch_plan(profile.syscalls) is not None:
             self.engine.invoke_batch(
                 profile.syscalls,
                 self._work_ns(profile, profile.app_ns),

@@ -249,13 +249,21 @@ class TestClockContext:
 
     def test_use_clock_scopes_the_active_clock(self):
         mine = VirtualClock()
-        with use_clock(mine):
+        with use_clock(mine) as entered:
+            assert entered is mine
             assert current_clock() is mine
             inner = VirtualClock()
             with use_clock(inner):
                 assert current_clock() is inner
             assert current_clock() is mine
         assert current_clock() is not mine
+
+    def test_use_clock_pops_on_exception(self):
+        mine = VirtualClock()
+        with pytest.raises(RuntimeError):
+            with use_clock(mine):
+                raise RuntimeError("body")
+        assert current_clock() is default_clock()
 
     def test_use_clock_is_thread_local(self):
         mine = VirtualClock()

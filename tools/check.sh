@@ -61,6 +61,11 @@
 # every fault_site()/corrupt_text() literal wired in src/ against the
 # site table in docs/RESILIENCE.md, both directions.
 #
+# The benchmark hygiene tests (perfbench/tests) install and remove the
+# traced run's wrappers on the program's entry points, so a change that
+# makes an entry point unwrappable fails here rather than in a traced
+# benchmark run.
+#
 # No PYTHONHASHSEED pin anywhere: every config-option float fold
 # iterates its frozenset sorted, so all manifest digests are hash-seed
 # independent (tests/test_golden_parity.py and the shard tests pin this).
@@ -92,6 +97,9 @@ python "$REPO_ROOT/tools/check_fault_sites.py"
 
 echo "==> tier-1 test suite"
 (cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest -q)
+
+echo "==> benchmark hygiene tests (perfbench wrappers, metric names)"
+(cd "$REPO_ROOT" && python -m pytest -q perfbench/tests)
 
 echo "==> EXPERIMENTS.md generator (from a temp cwd, no PYTHONPATH)"
 TMP_DIR=$(mktemp -d)
