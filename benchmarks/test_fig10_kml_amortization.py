@@ -6,7 +6,7 @@ from repro.harness import get_experiment
 def test_fig10_kml_amortization(benchmark, record_result):
     experiment = get_experiment("fig10")
     points = benchmark(experiment.run)
-    artifact = experiment.artifact()
+    artifact = experiment.artifact(points)
     record_result("fig10", artifact.text, figure=artifact.figure)
     as_dict = dict(points)
     assert 0.35 <= as_dict[0] <= 0.45

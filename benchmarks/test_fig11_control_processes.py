@@ -6,7 +6,7 @@ from repro.harness import get_experiment
 def test_fig11_control_processes(benchmark, record_result):
     experiment = get_experiment("fig11")
     series = benchmark(experiment.run)
-    artifact = experiment.artifact()
+    artifact = experiment.artifact(series)
     record_result("fig11", artifact.text, figure=artifact.figure)
     for name, points in series.items():
         values = [value for _, value in points]

@@ -6,7 +6,7 @@ from repro.harness import get_experiment
 
 def test_fig12_context_switch(benchmark, record_result):
     experiment = get_experiment("fig12")
-    benchmark(experiment.run)
-    artifact = experiment.artifact()
+    results = benchmark(experiment.run)
+    artifact = experiment.artifact(results)
     record_result("fig12", artifact.text, figure=artifact.figure)
-    assert fig12_ctxsw.max_process_penalty() <= 0.03
+    assert fig12_ctxsw.max_process_penalty(results) <= 0.03

@@ -6,7 +6,7 @@ from repro.harness import get_experiment
 def test_fig3_config_options(benchmark, record_result):
     experiment = get_experiment("fig3")
     results = benchmark(experiment.run)
-    artifact = experiment.artifact()
+    artifact = experiment.artifact(results)
     record_result("fig3", artifact.text, figure=artifact.figure)
     assert sum(results["total"].values()) == 15953
     assert sum(results["microvm"].values()) == 833

@@ -11,7 +11,7 @@ from repro.harness import get_experiment
 def test_security_surface(benchmark, record_result):
     experiment = get_experiment("ext-security")
     reports = benchmark(experiment.run)
-    artifact = experiment.artifact()
+    artifact = experiment.artifact(reports)
     record_result("ext_security", artifact.text, figure=artifact.figure)
     base, microvm = reports["lupine-base"], reports["microvm"]
     assert 0.85 <= base.nullification_rate <= 0.92

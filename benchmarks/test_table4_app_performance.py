@@ -7,7 +7,7 @@ from repro.harness import get_experiment
 def test_table4_app_performance(benchmark, record_result):
     experiment = get_experiment("table4")
     results = benchmark(experiment.run)
-    artifact = experiment.artifact()
+    artifact = experiment.artifact(results)
     record_result("table4", artifact.text, figure=artifact.figure)
     lupine = results["lupine"]
     assert all(lupine[column] > 1.1 for column in table4_apps.COLUMNS)

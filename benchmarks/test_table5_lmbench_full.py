@@ -6,7 +6,7 @@ from repro.harness import get_experiment
 def test_table5_lmbench_full(benchmark, record_result):
     experiment = get_experiment("table5")
     reports = benchmark(experiment.run)
-    artifact = experiment.artifact()
+    artifact = experiment.artifact(reports)
     record_result("table5", artifact.text, figure=artifact.figure)
     microvm = reports["microvm"]
     general = reports["lupine-general"]

@@ -20,14 +20,15 @@ from repro.metrics.reporting import render_figure, render_table
 
 
 def main() -> None:
-    for module in (fig6_image_size, fig7_boot_time, fig8_memory,
-                   fig9_syscalls):
-        print(render_figure(module.figure()))
+    image_sizes = fig6_image_size.run()
+    print(render_figure(fig6_image_size.figure(image_sizes)))
+    print()
+    for module in (fig7_boot_time, fig8_memory, fig9_syscalls):
+        print(render_figure(module.figure(module.run())))
         print()
-    print(render_table(table4_apps.table()))
+    print(render_table(table4_apps.table(table4_apps.run())))
 
-    results = fig6_image_size.run()
-    lupine_fraction = results["lupine"] / results["microvm"]
+    lupine_fraction = image_sizes["lupine"] / image_sizes["microvm"]
     print(f"\nheadline: lupine kernel is {lupine_fraction:.0%} of microVM's "
           "image and beats at least one reference unikernel on every "
           "dimension above.")

@@ -1,9 +1,13 @@
 """Experiment drivers: one module per paper table/figure.
 
 Each module exposes a ``run()`` returning structured results plus a
-``figure()``/``table()`` renderer producing the same rows/series the paper
-reports.  The benchmark harness, the CLI and EXPERIMENTS.md all consume
-these, so there is exactly one implementation of every experiment.
+``table(results)``/``figure(results)`` renderer producing the same
+rows/series the paper reports.  A renderer is a pure function of what
+``run()`` returned: it never calls ``run()`` itself and never mutates its
+argument, so the harness renders each artifact from the one run it
+already made.  The benchmark harness, the CLI and EXPERIMENTS.md all
+consume these, so there is exactly one implementation of every
+experiment.
 """
 
 from repro.experiments import (  # noqa: F401

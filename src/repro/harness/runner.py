@@ -32,6 +32,9 @@ Invariants:
 - **Warm-run purity.** A result-cache hit must not execute experiment
   code, perform kernel builds, or consult the kernel build cache; it only
   decodes the stored result.  (``test_harness.py`` pins this.)
+- **Run once.** A cold attempt calls the experiment's ``run()`` exactly
+  once and renders the artifact from that result before encoding it;
+  renderers never mutate it.  (``test_experiments.py`` pins both.)
 - **Codec normalization.** Cold results pass through
   ``decode(encode(...))`` before being returned, so cold and warm runs
   hand consumers structurally identical objects.
@@ -194,7 +197,9 @@ def _attempt_one(
         with faults.fault_site("experiment.run"):
             result = experiment.run()
     with span("render-artifact", category="harness"):
-        artifact = experiment.artifact()
+        # Rendered from the result just computed: renderers are pure
+        # functions of it, so the experiment's work is done once.
+        artifact = experiment.artifact(result)
         dat_text: Optional[str] = None
         if artifact.figure is not None:
             from repro.metrics.dataexport import figure_to_dat

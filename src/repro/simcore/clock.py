@@ -237,7 +237,17 @@ class VirtualClock:
         callbacks included, is atomic with respect to other threads, just
         as the per-layer ``clock_ns += x`` folds it replaces were single
         statements.  Callbacks may re-enter the clock from this thread.
+
+        Fast path: when the heap top is past *target_ns* (or the heap is
+        empty) no event -- live or cancelled -- can be due, so the move is
+        one compare and one store; listeners are still told.
         """
+        events = self._events
+        if not events or events[0].deadline_ns > target_ns:
+            self._now_ns = target_ns
+            if self._listeners:
+                self._notify(target_ns)
+            return target_ns
         while True:
             self._skim_cancelled()
             if self._events and self._events[0].deadline_ns <= target_ns:

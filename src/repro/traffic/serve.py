@@ -79,6 +79,17 @@ class ServeSpec:
     #: extra manifest section would change pinned digests.
     record_usage: bool = False
 
+    def __post_init__(self) -> None:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or self.seed < 0):
+            raise ValueError(
+                f"seed must be a non-negative int, got {self.seed!r}"
+            )
+        for name in ("kml", "record_usage"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+
 
 @dataclass
 class ServingReport:

@@ -81,6 +81,12 @@ class ResiliencePolicy:
     shed_queue_depth: int = 256
 
     def __post_init__(self) -> None:
+        for name in ("watchdog_s", "restart_backoff_s", "max_backoff_s",
+                     "backoff_multiplier", "crash_loop_window_s",
+                     "quarantine_s", "breaker_cooldown_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.watchdog_s <= 0.0:
             raise ValueError("watchdog_s must be positive")
         if self.retry_budget < 0:

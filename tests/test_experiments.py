@@ -48,7 +48,8 @@ class TestFig3:
     def test_table_renders(self):
         from repro.metrics.reporting import render_table
 
-        text = render_table(fig3_config_options.table())
+        text = render_table(
+            fig3_config_options.table(fig3_config_options.run()))
         assert "drivers" in text and "TOTAL" in text
 
 
@@ -187,11 +188,12 @@ class TestFig8:
 
 class TestFig9:
     def test_specialization_up_to_56_percent(self):
-        improvement = fig9_syscalls.specialization_improvement()
+        improvement = fig9_syscalls.specialization_improvement(
+            fig9_syscalls.run())
         assert 0.50 <= improvement <= 0.60
 
     def test_kml_adds_about_40_percent_on_null(self):
-        improvement = fig9_syscalls.kml_improvement()
+        improvement = fig9_syscalls.kml_improvement(fig9_syscalls.run())
         assert 0.35 <= improvement <= 0.45
 
     def test_general_equals_app_specific(self):
@@ -286,7 +288,8 @@ class TestFig11:
 
 class TestFig12:
     def test_processes_not_slower_than_threads(self):
-        assert fig12_ctxsw.max_process_penalty() <= 0.03  # paper: max 3%
+        # paper: max 3%
+        assert fig12_ctxsw.max_process_penalty(fig12_ctxsw.run()) <= 0.03
 
     def test_four_series_present(self):
         assert set(fig12_ctxsw.run()) == {
@@ -347,7 +350,71 @@ class TestRenderers:
 
         for name, module in ALL_EXPERIMENTS.items():
             if hasattr(module, "table"):
-                text = render_table(module.table())
+                text = render_table(module.table(module.run()))
             else:
-                text = render_figure(module.figure())
+                text = render_figure(module.figure(module.run()))
             assert len(text.splitlines()) > 3, name
+
+
+@pytest.fixture(scope="class")
+def cold_suite(tmp_path_factory):
+    """One cold ``run_experiments(jobs=1, force=True)`` with every
+    registered module's ``run`` counted, and what each call returned
+    (the object plus its encoding at return time, before rendering)."""
+    from repro.experiments import ALL_EXPERIMENTS
+    from repro.harness.codec import encode
+    from repro.harness.runner import run_experiments
+
+    calls = {name: 0 for name in ALL_EXPERIMENTS}
+    returned = {}
+
+    def counting(name, run):
+        def _run():
+            calls[name] += 1
+            result = run()
+            returned[name] = (result, encode(result))
+            return result
+        return _run
+
+    output_dir = tmp_path_factory.mktemp("cold-suite")
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in ALL_EXPERIMENTS.items():
+            patch.setattr(module, "run", counting(name, module.run))
+        run = run_experiments(jobs=1, force=True, output_dir=output_dir)
+    return run, calls, returned, output_dir
+
+
+class TestRunOnce:
+    """A cold suite does each experiment's work once and renders every
+    artifact from that one result."""
+
+    def test_each_run_executes_exactly_once(self, cold_suite):
+        run, calls, _, _ = cold_suite
+        assert run.ok, run.failures
+        assert calls == {name: 1 for name in calls}
+
+    def test_rendering_leaves_the_result_unchanged(self, cold_suite):
+        from repro.harness.codec import encode
+
+        run, _, returned, _ = cold_suite
+        for name, (result, at_return) in returned.items():
+            assert encode(result) == at_return, name
+            assert encode(run.results[name]) == at_return, name
+
+    def test_artifacts_equal_a_render_of_a_fresh_run(self, cold_suite):
+        """Byte-equal to rendering a separate ``run()``, which is what the
+        renderers did when each one called ``run()`` itself."""
+        from repro.harness import all_experiments
+        from repro.metrics.dataexport import figure_to_dat
+
+        run, _, _, output_dir = cold_suite
+        for name, experiment in all_experiments().items():
+            fresh = experiment.artifact(experiment.run())
+            assert run.artifacts[name] == fresh.text, name
+            stem = output_dir / experiment.output_stem
+            assert stem.with_suffix(".txt").read_text() == fresh.text + "\n"
+            dat = stem.with_suffix(".dat")
+            if fresh.figure is None:
+                assert not dat.exists(), name
+            else:
+                assert dat.read_text() == figure_to_dat(fresh.figure), name

@@ -7,7 +7,8 @@
   is stepped ``invoke`` plus ``cpu_work`` on a twin engine.
 - ``fault_site`` with no plane installed is a shared no-op; the oracle is
   the installed-plane path, which must take over at the very next entry.
-- Trace and pool specs reject malformed input at construction.
+- Trace, pool, resilience and serve specs reject malformed input at
+  construction.
 """
 
 import math
@@ -25,6 +26,8 @@ from repro.syscall.dispatch import SyscallEngine, SyscallNotImplemented
 from repro.syscall.usage import UsageTrace
 from repro.traffic.arrivals import TraceSpec
 from repro.traffic.policy import FIXED_POOL, SCALE_TO_ZERO, WarmPoolPolicy
+from repro.traffic.serve import ServeSpec
+from repro.traffic.supervisor import ResiliencePolicy
 
 
 def _recomputed(config):
@@ -265,6 +268,34 @@ MALFORMED_POLICIES = [
     dict(name="bad", min_warm=17, max_per_app=16),
 ]
 
+MALFORMED_RESILIENCE = [
+    dict(watchdog_s=math.nan),
+    dict(watchdog_s=math.inf),
+    dict(restart_backoff_s=math.nan),
+    dict(restart_backoff_s=math.inf),
+    dict(max_backoff_s=math.inf),
+    dict(backoff_multiplier=math.nan),
+    dict(backoff_multiplier=math.inf),
+    dict(crash_loop_window_s=math.nan),
+    dict(crash_loop_window_s=math.inf),
+    dict(quarantine_s=math.nan),
+    dict(quarantine_s=math.inf),
+    dict(breaker_cooldown_s=math.nan),
+    dict(breaker_cooldown_s=math.inf),
+]
+
+#: ServeSpec fields beyond the trace and pool policy.
+MALFORMED_SERVE_FIELDS = [
+    dict(seed=1.5),
+    dict(seed=-1),
+    dict(seed="7"),
+    dict(seed=True),
+    dict(kml="yes"),
+    dict(kml=1),
+    dict(record_usage="no"),
+    dict(record_usage=None),
+]
+
 
 class TestMalformedSpecs:
     @pytest.mark.parametrize("fields", MALFORMED_TRACES)
@@ -277,6 +308,17 @@ class TestMalformedSpecs:
         with pytest.raises(ValueError):
             WarmPoolPolicy(**fields)
 
+    @pytest.mark.parametrize("fields", MALFORMED_RESILIENCE)
+    def test_resilience_policy_rejected(self, fields):
+        with pytest.raises(ValueError):
+            ResiliencePolicy(**fields)
+
+    @pytest.mark.parametrize("fields", MALFORMED_SERVE_FIELDS)
+    def test_serve_spec_rejected(self, fields):
+        trace = TraceSpec(kind="poisson", requests=10, mean_rps=100.0)
+        with pytest.raises(ValueError):
+            ServeSpec(trace=trace, policy=SCALE_TO_ZERO, **fields)
+
     def test_well_formed_specs_still_construct(self):
         TraceSpec(kind="poisson", requests=0, mean_rps=1.0)
         TraceSpec(kind="bursty", requests=10, mean_rps=0.0, on_rps=10.0,
@@ -284,3 +326,7 @@ class TestMalformedSpecs:
         WarmPoolPolicy(name="edge", min_warm=4, max_per_app=4)
         assert SCALE_TO_ZERO.min_warm <= SCALE_TO_ZERO.max_per_app
         assert FIXED_POOL.with_overrides(max_total=2).max_total == 2
+        ResiliencePolicy(watchdog_s=1e-9, max_backoff_s=1e9)
+        trace = TraceSpec(kind="poisson", requests=10, mean_rps=100.0)
+        ServeSpec(trace=trace, policy=FIXED_POOL, seed=0, kml=False,
+                  record_usage=True)

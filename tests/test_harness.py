@@ -35,7 +35,8 @@ def _synthetic(name, calls, fingerprint):
     return Experiment(
         name=name,
         run_fn=_run,
-        artifact_fn=lambda: Artifact(text=f"{name}: ran {len(calls)} times"),
+        artifact_fn=lambda result: Artifact(
+            text=f"{name}: ran {result['value']} times"),
         fingerprint_fn=lambda: fingerprint["value"],
     )
 
@@ -148,8 +149,10 @@ class TestRegistry:
         assert len(set(fingerprints.values())) > len(fingerprints) // 2
 
     def test_artifact_renders_table_or_figure(self):
-        assert "Table 3" in get_experiment("table3").artifact().text
-        fig5 = get_experiment("fig5").artifact()
+        table3 = get_experiment("table3")
+        assert "Table 3" in table3.artifact(table3.run()).text
+        experiment = get_experiment("fig5")
+        fig5 = experiment.artifact(experiment.run())
         assert "Figure 5" in fig5.text
         assert fig5.figure is not None
 

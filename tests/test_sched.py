@@ -1,9 +1,17 @@
 """Tests for the scheduler substrate."""
 
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sched.scheduler import Scheduler, SchedulerError
+from repro.sched.scheduler import (
+    CACHE_REFILL_NS_PER_KB,
+    Scheduler,
+    SchedulerError,
+)
 from repro.sched.smp import SmpModel
 from repro.sched.task import TaskKind, TaskState
 from repro.syscall.cpu import CpuCostModel
@@ -205,3 +213,148 @@ class TestSchedulerProperties:
             for task in sched.tasks():
                 if task.state is TaskState.SLEEPING:
                     assert task.pid not in ready_pids
+
+
+@dataclass
+class DequeScheduler(Scheduler):
+    """The scheduler as it was before the O(1) ready set: a plain deque
+    with linear membership tests and removal.  Kept here as the oracle of
+    :class:`TestReadySetDifferential`."""
+
+    _ready: Deque[int] = field(default_factory=deque)
+
+    def exit(self, task, code=0):
+        self._check_alive(task)
+        task.state = TaskState.ZOMBIE
+        task.exit_code = code
+        if task.pid in self._ready:
+            self._ready.remove(task.pid)
+        if self.current is task:
+            self.current = None
+        self.clock.advance(300.0)
+
+    def sleep(self, task):
+        self._check_alive(task)
+        if task.state is TaskState.SLEEPING:
+            return
+        if task.pid in self._ready:
+            self._ready.remove(task.pid)
+        if self.current is task:
+            self.current = None
+        task.state = TaskState.SLEEPING
+
+    def wake(self, task):
+        self._check_alive(task)
+        if task.state is not TaskState.SLEEPING:
+            return
+        task.state = TaskState.READY
+        self._ready.append(task.pid)
+        self.clock.advance(350.0 + self.smp.lock_pair_ns())
+
+    def schedule(self):
+        previous = self.current
+        if previous is not None and previous.state is TaskState.RUNNING:
+            previous.state = TaskState.READY
+            self._ready.append(previous.pid)
+        if not self._ready:
+            self.current = None
+            return None
+        next_task = self._tasks[self._ready.popleft()]
+        next_task.state = TaskState.RUNNING
+        if previous is not None and previous is not next_task:
+            same_space = (previous.address_space_id
+                          == next_task.address_space_id)
+            cost = self.cost_model.context_switch_ns(same_space)
+            cost += self.smp.switch_overhead_ns()
+            cost += CACHE_REFILL_NS_PER_KB * min(
+                next_task.working_set_kb, 64
+            ) * self._cache_pressure()
+            self.clock.advance(cost)
+            self.switch_count += 1
+            next_task.vruntime_ns += cost
+        self.current = next_task
+        return next_task
+
+    def _admit(self, task):
+        self._tasks[task.pid] = task
+        self._ready.append(task.pid)
+
+
+def _drive(sched, operations):
+    """Apply *operations* to *sched*; returns every observable step."""
+    trace = []
+    for operation, index, working_set_kb in operations:
+        alive = [t for t in sched.tasks() if t.alive]
+        victim = alive[index % len(alive)] if alive else None
+        if operation == "spawn" or victim is None:
+            sched.spawn("x", working_set_kb=working_set_kb)
+        elif operation == "fork":
+            sched.fork(victim)
+        elif operation == "thread":
+            sched.create_thread(victim)
+        elif operation == "sleep":
+            sched.sleep(victim)
+        elif operation == "wake":
+            sched.wake(victim)
+        elif operation == "schedule":
+            picked = sched.schedule()
+            trace.append(("pick", None if picked is None else picked.pid))
+        elif operation == "run":
+            if sched.current is not None:
+                sched.run_for(sched.current, 100.0 + working_set_kb)
+        elif operation == "exit":
+            sched.exit(victim)
+        trace.append((sched.clock_ns.hex(), sched.switch_count,
+                      sched.ready_count(), list(sched._ready)))
+    return trace
+
+
+class TestReadySetDifferential:
+    """The O(1) ready set against the deque scheduler it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["spawn", "fork", "thread", "sleep", "wake",
+                                 "schedule", "schedule", "run", "exit"]),
+                st.integers(min_value=0, max_value=10_000),
+                st.integers(min_value=0, max_value=128),
+            ),
+            min_size=1, max_size=120,
+        ),
+    )
+    def test_same_picks_clock_bits_and_switches(self, smp, operations):
+        fast = _drive(_scheduler(smp), operations)
+        oracle = _drive(
+            DequeScheduler(cost_model=CpuCostModel.for_options([]),
+                           smp=SmpModel(smp_enabled=smp, cpus=1)),
+            operations,
+        )
+        assert fast == oracle
+
+    def test_futex_stress_matches_oracle(self):
+        """Section 5's futex ping-pong, many ready tasks, bit for bit."""
+        from repro.sched.futex import FutexTable
+
+        def stress(sched):
+            futexes = FutexTable(sched)
+            picks = []
+            for worker in range(24):
+                address = 0x1000 + worker * 16
+                tasks = [sched.spawn(f"f{worker}.{i}", working_set_kb=8)
+                         for i in range(4)]
+                futexes.store(address, 0)
+                for _ in range(6):
+                    futexes.wait(tasks[0], address, 0)
+                    sched.clock.advance(600.0)
+                    futexes.wake(address, 1)
+                    picks.append(sched.schedule().pid)
+            return picks, sched.clock_ns.hex(), sched.switch_count
+
+        for smp in (False, True):
+            assert stress(_scheduler(smp)) == stress(DequeScheduler(
+                cost_model=CpuCostModel.for_options([]),
+                smp=SmpModel(smp_enabled=smp, cpus=1),
+            ))

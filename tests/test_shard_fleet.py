@@ -200,7 +200,7 @@ class TestRunnerEffectiveJobs:
             Experiment(
                 name=f"shardy-{index}",
                 run_fn=lambda: {"v": 1},
-                artifact_fn=lambda: Artifact(text="shardy"),
+                artifact_fn=lambda result: Artifact(text="shardy"),
                 fingerprint_fn=lambda index=index: f"fp-{index}",
             )
             for index in range(2)

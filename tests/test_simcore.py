@@ -243,6 +243,90 @@ class TestVirtualClock:
         assert wheel.current_tick == 7
 
 
+class TestClockFastPath:
+    """Moves with no due event take the one-compare path; every other
+    move keeps the dispatch loop.  Both must look the same from outside."""
+
+    def test_event_due_exactly_at_target_fires(self):
+        clock = VirtualClock()
+        fired = []
+        clock.call_at(100.0, lambda: fired.append(clock.now_ns))
+        clock.advance(99.0)
+        assert fired == []
+        clock.advance(1.0)
+        assert fired == [100.0]
+        clock.call_at(250.0, lambda: fired.append(clock.now_ns))
+        clock.advance_to(250.0)
+        assert fired == [100.0, 250.0]
+        assert clock.pending_events == 0
+
+    def test_equal_deadlines_fire_in_schedule_order(self):
+        clock = VirtualClock()
+        fired = []
+        for label in "abc":
+            clock.call_at(50.0, lambda label=label: fired.append(label))
+        clock.advance(50.0)
+        assert fired == ["a", "b", "c"]
+
+    def test_cancelled_top_at_or_below_target_is_skimmed(self):
+        clock = VirtualClock()
+        fired = []
+        clock.call_at(10.0, lambda: fired.append("dead")).cancel()
+        clock.call_at(20.0, lambda: fired.append("dead-too")).cancel()
+        clock.call_at(30.0, lambda: fired.append("live"))
+        clock.advance(20.0)
+        assert fired == []
+        assert len(clock._events) == 1  # both cancelled tops popped
+        assert clock.pending_events == 1
+        assert clock.next_deadline_ns() == 30.0
+        clock.advance(10.0)
+        assert fired == ["live"]
+
+    def test_no_due_event_leaves_queue_observably_unchanged(self):
+        clock = VirtualClock()
+        clock.call_at(500.0)
+        clock.call_at(700.0)
+        clock.advance(100.0)
+        assert (clock.pending_events, clock.next_deadline_ns()) == (2, 500.0)
+        # A cancelled top past the target: nothing is due, and the
+        # cancellation is accounted whether or not it was skimmed yet.
+        clock.call_at(300.0).cancel()
+        clock.advance(100.0)
+        assert (clock.pending_events, clock.next_deadline_ns()) == (2, 500.0)
+        assert clock.now_ns == 200.0
+
+    def test_listeners_see_every_forward_move(self):
+        for pending in (False, True):
+            clock = VirtualClock()
+            seen = []
+            clock.add_listener(seen.append)
+            if pending:
+                clock.call_at(1e9)  # never due below
+            clock.advance(5.0)
+            clock.advance(0.0)
+            clock.advance_to(9.0)
+            clock.jump_to(12.0)
+            assert seen == [5.0, 5.0, 9.0, 12.0], pending
+            assert clock.pending_events == int(pending)
+
+    def test_listener_sees_target_after_due_events(self):
+        clock = VirtualClock()
+        seen = []
+        clock.add_listener(seen.append)
+        clock.call_at(4.0)
+        clock.advance(10.0)
+        assert seen == [10.0]
+
+    def test_fast_path_is_exact_addition(self):
+        clock = VirtualClock()
+        reference = 0.0
+        clock.call_at(1e12)
+        for step in (0.1, 0.2, 1e-7, 3.3, 12345.678):
+            clock.advance(step)
+            reference += step
+        assert clock.now_ns == reference
+
+
 class TestClockContext:
     def test_default_clock_is_process_wide(self):
         assert current_clock() is default_clock()

@@ -66,6 +66,12 @@
 # makes an entry point unwrappable fails here rather than in a traced
 # benchmark run.
 #
+# The paper benchmarks (benchmarks/test_*.py) sit outside tier-1's
+# testpaths; they run here with timing disabled (one call each) so the
+# renderer API and every paper-bound assert they carry are exercised on
+# each change.  They rewrite the committed benchmarks/output/ copies,
+# which must come out byte-identical.
+#
 # No PYTHONHASHSEED pin anywhere: every config-option float fold
 # iterates its frozenset sorted, so all manifest digests are hash-seed
 # independent (tests/test_golden_parity.py and the shard tests pin this).
@@ -100,6 +106,10 @@ echo "==> tier-1 test suite"
 
 echo "==> benchmark hygiene tests (perfbench wrappers, metric names)"
 (cd "$REPO_ROOT" && python -m pytest -q perfbench/tests)
+
+echo "==> paper benchmarks (renderers + paper bounds, timing disabled)"
+(cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest -q benchmarks/ \
+    --benchmark-disable)
 
 echo "==> EXPERIMENTS.md generator (from a temp cwd, no PYTHONPATH)"
 TMP_DIR=$(mktemp -d)
