@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Tuple
 
 from repro.observe import METRICS
@@ -126,24 +125,10 @@ def _execute(
     parent-registry snapshot), so they are the same sum of per-app
     constants whether shards ran in-process or across a fork pool.
     """
-    import multiprocessing
+    from repro.harness.shardpool import fan_out
 
-    jobs = max(1, int(jobs))
+    outcomes = fan_out(_derive_shard, app_names, jobs)
     fold = {name: 0 for name in _WORK_COUNTERS}
-    if jobs == 1 or len(app_names) <= 1:
-        outcomes = [_derive_shard(name) for name in app_names]
-    else:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=min(jobs, len(app_names)),
-                                 mp_context=context) as pool:
-            futures = [pool.submit(_derive_shard, name)
-                       for name in app_names]
-            outcomes = [future.result() for future in futures]
-        # Worker processes died with their registries; fold the shard
-        # work back into the parent so global metrics stay conserved.
-        for _, deltas in outcomes:
-            for name in sorted(deltas):
-                METRICS.counter(name).inc(deltas[name])
     for _, deltas in outcomes:
         for name in deltas:
             fold[name] += deltas[name]
@@ -153,7 +138,7 @@ def _execute(
 def _report_digest(rows: List[Dict[str, Any]], key: str) -> str:
     payload = json.dumps(
         [[row["app"], row[key], row["extras"]] for row in rows],
-        sort_keys=True, separators=(",", ":"),
+        sort_keys=True, separators=(",", ":"), allow_nan=False,
     )
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
@@ -262,9 +247,8 @@ def check_result(result: Dict[str, Any]) -> List[str]:
 
 def write_result(result: Dict[str, Any], path: pathlib.Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def render_summary(result: Dict[str, Any]) -> str:

@@ -41,8 +41,8 @@ def register_result_dataclass(cls: Type) -> Type:
     """Whitelist *cls* for codec round trips (idempotent).
 
     Modules whose dataclasses cross the codec boundary but that the codec
-    must not import at module load (e.g. the shard pool, whose results
-    transit worker processes as codec JSON) register themselves here.
+    must not import at module load (e.g. an experiment whose result rows
+    import the derivation pipeline) register themselves here.
     """
     existing = RESULT_DATACLASSES.get(cls.__name__)
     if existing is not None and existing is not cls:

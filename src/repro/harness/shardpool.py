@@ -1,128 +1,43 @@
-"""Process-pool shard execution for fleet simulation and serving runs.
+"""Run-level fork fan-out: whole independent runs across worker processes.
 
-The sharded fleet path (``Fleet.simulate(jobs=N)``) partitions a seeded
-fleet into contiguous index ranges and executes each range in a worker
-process -- the :class:`~concurrent.futures.ProcessPoolExecutor` sibling
-of the thread pool in :mod:`repro.harness.runner`.  Everything that
-crosses the process boundary goes through the harness codec
-(:mod:`repro.harness.codec`): shard specs and shard results are
-registered result dataclasses, encoded to canonical JSON on the way out
-and decoded on the way back, so the transport is the same deterministic,
-closed-surface machinery the result cache uses.
+One primitive, :func:`fan_out`: apply ``fn(item) -> (result,
+counter_deltas)`` to every item, in-process or across a ``fork``
+:class:`~concurrent.futures.ProcessPoolExecutor` -- the process-pool
+sibling of the thread pool in :mod:`repro.harness.runner`.  Outcomes
+come back in submission order whatever the completion order, and a
+forked worker's counter deltas fold back into this process's
+``METRICS`` registry (sorted by name), so a fanned-out sweep costs the
+same by the counters as a sequential one.  In-process runs already
+counted their work where it happened, so nothing is folded twice.
 
-Determinism contract (asserted by tests and the ``check.sh`` gate):
-
-- **Shard planning is a pure function** of ``(count, jobs)``:
-  :func:`shard_bounds` splits ``range(count)`` into at most *jobs*
-  contiguous, near-equal ranges, largest-first remainder.
-- **Workers are self-contained**: each worker rebuilds its shard's
-  orchestrator from the policy value, reconstructs applications from
-  registry names, and names guests by *global* fleet index -- so a
-  shard's entries are byte-identical to the slice a sequential run
-  would produce.
-- **Merges are order-fixed**: results are collected in submission
-  (shard-index) order regardless of completion order; entry lists
-  concatenate, kernel-fingerprint sets union, and counter deltas fold
-  into the parent registry sorted by name.
-
-Same seed => byte-identical manifest digest regardless of job count.
-
-Workers also report their shard's elapsed time on the tracer's host
-clock (under ``bench-guests`` that clock is a
-:class:`~repro.observe.tracer.TickClock`, so "elapsed" is a
-machine-independent count of clock readings); the parent models
-parallel wall clock as its own elapsed plus the *slowest* shard.
+Callers: :func:`repro.traffic.serve.run_serving_many` (one
+:class:`~repro.traffic.serve.ServeSpec` per item -- serving shards by
+*run*, never within one; see ``docs/SERVING.md``) and ``bench-derive``
+(one app per item).  Workers inherit the parent's warmed build and
+resolution caches through ``fork``.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from repro.core.orchestrator import GuestManifestEntry
-from repro.harness import codec
-from repro.observe import METRICS, TRACER
+from repro.observe import METRICS
 
-# Fleet entries transit the worker boundary inside FleetShardResult;
-# registered here (not in the codec module) so the codec never has to
-# import the orchestrator at load time.
-codec.register_result_dataclass(GuestManifestEntry)
+#: What a fanned-out function returns: its result plus counter deltas.
+Outcome = Tuple[Any, Dict[str, int]]
 
 
-def shard_bounds(count: int, jobs: int) -> List[Tuple[int, int]]:
-    """Split ``range(count)`` into <= *jobs* contiguous ``(lo, hi)`` ranges.
-
-    Near-equal sizes, the remainder spread over the leading shards; a
-    pure function of ``(count, jobs)`` so shard planning never perturbs
-    the merged result.  Empty shards are never produced.
-    """
-    if count < 0:
-        raise ValueError(f"count cannot be negative (got {count})")
-    jobs = max(1, min(int(jobs), count if count else 1))
-    base, remainder = divmod(count, jobs)
-    bounds: List[Tuple[int, int]] = []
-    lo = 0
-    for index in range(jobs):
-        hi = lo + base + (1 if index < remainder else 0)
-        if hi > lo:
-            bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-@codec.register_result_dataclass
-@dataclass(frozen=True)
-class FleetShardSpec:
-    """Everything one fleet shard worker needs (codec-encodable)."""
-
-    #: Global fleet index of this shard's first guest.
-    start: int
-    #: Registry names of the drawn applications, in fleet order.
-    app_names: Tuple[str, ...]
-    #: ``KernelPolicy.value`` (enums stay out of the codec surface).
-    policy: str
-    kml: bool
-    requests_per_guest: int
-    #: Run the cohort-vectorized fold instead of the per-guest oracle.
-    cohort: bool
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "app_names", tuple(self.app_names))
-
-
-@codec.register_result_dataclass
-@dataclass(frozen=True)
-class FleetShardResult:
-    """One shard's merged-back outcome (codec-encodable)."""
-
-    start: int
-    #: GuestManifestEntry per guest, in global-index order.
-    entries: Tuple[object, ...]
-    #: Distinct kernel fingerprints this shard's orchestrator built
-    #: (sorted); the parent's ``build_count`` is the size of the union.
-    fingerprints: Tuple[str, ...]
-    #: Counter deltas the shard's work caused, folded into the parent
-    #: registry so ``bench-guests`` measures sharded work identically.
-    counter_deltas: Dict[str, int]
-    #: Shard elapsed on the tracer's host clock (tick-us under bench).
-    elapsed_us: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "fingerprints", tuple(self.fingerprints))
-
-
-def _counter_snapshot() -> Dict[str, int]:
+def counter_snapshot() -> Dict[str, int]:
+    """Every counter's current value, by name."""
     return dict(METRICS.to_dict()["counters"])
 
 
-def _counter_deltas(before: Dict[str, int],
-                    after: Dict[str, int]) -> Dict[str, int]:
+def counter_deltas(before: Dict[str, int]) -> Dict[str, int]:
+    """Counters that moved since the *before* snapshot, by how much."""
     return {
         name: value - before.get(name, 0)
-        for name, value in after.items()
+        for name, value in counter_snapshot().items()
         if value != before.get(name, 0)
     }
 
@@ -133,114 +48,25 @@ def fold_counter_deltas(deltas: Dict[str, int]) -> None:
         METRICS.counter(name).inc(deltas[name])
 
 
-def run_fleet_shard(encoded_spec: str) -> str:
-    """Worker entry point: execute one fleet shard, codec JSON in/out.
+def fan_out(fn: Callable[[Any], Outcome], items: Sequence[Any],
+            jobs: int) -> List[Outcome]:
+    """``[fn(item) for item in items]``, across up to *jobs* fork workers.
 
-    Runs in the worker process.  Deliberately a module-level function of
-    one string so the pool pickles nothing but a function reference and
-    the encoded spec.
-    """
-    from repro.apps.registry import get_app
-    from repro.core.orchestrator import Fleet, KernelOrchestrator, KernelPolicy
-
-    spec: FleetShardSpec = codec.decode(json.loads(encoded_spec))
-    orchestrator = KernelOrchestrator(
-        policy=KernelPolicy(spec.policy), kml=spec.kml
-    )
-    drawn = [get_app(name) for name in spec.app_names]
-    guest_specs = [
-        Fleet._guest_spec(orchestrator, spec.start + offset, app)
-        for offset, app in enumerate(drawn)
-    ]
-    Fleet._validate_specs(guest_specs)
-    counters_before = _counter_snapshot()
-    started_us = TRACER.clock.now_us()
-    if spec.cohort:
-        entries = Fleet._simulate_cohort(
-            orchestrator, drawn, guest_specs, spec.requests_per_guest
-        )
-    else:
-        entries = Fleet._simulate_sequential(
-            orchestrator, drawn, guest_specs, spec.requests_per_guest
-        )
-    elapsed_us = TRACER.clock.now_us() - started_us
-    result = FleetShardResult(
-        start=spec.start,
-        entries=tuple(entries),
-        fingerprints=tuple(sorted(orchestrator._kernel_fingerprints)),
-        counter_deltas=_counter_deltas(counters_before, _counter_snapshot()),
-        elapsed_us=elapsed_us,
-    )
-    return json.dumps(codec.encode(result), sort_keys=True)
-
-
-def execute_fleet_shards(
-    specs: List[FleetShardSpec],
-) -> List[FleetShardResult]:
-    """Run every shard in a worker process; results in shard order.
-
-    Futures are collected in submission order, so the merge is
-    deterministic no matter which shard finishes first.  Uses the
-    ``fork`` start method: workers inherit the parent's warmed build and
-    resolution caches (and, under ``bench-guests``, its TickClock), the
-    same way the thread-pool harness workers share them.
-    """
-    import multiprocessing
-
-    if not specs:
-        return []
-    context = multiprocessing.get_context("fork")
-    encoded = [json.dumps(codec.encode(spec), sort_keys=True)
-               for spec in specs]
-    with ProcessPoolExecutor(max_workers=len(specs),
-                             mp_context=context) as pool:
-        futures = [pool.submit(run_fleet_shard, text) for text in encoded]
-        decoded = [
-            codec.decode(json.loads(future.result())) for future in futures
-        ]
-    return decoded
-
-
-# -- run-level serving fan-out ---------------------------------------------
-
-
-def run_serving_shard(pickled_spec) -> Tuple[object, Dict[str, int]]:
-    """Worker entry point: one whole serving run plus its counter deltas.
-
-    Serving runs shard at *run* granularity, never within a run: the
-    router's global coupling (``max_total`` admission, ``peak_live`` and
-    the queue high-water mark are time-maxima over cross-app sums) makes
-    a single run's manifest irreproducible from independently-executed
-    app slices (see ``docs/SERVING.md``).
-    """
-    from repro.traffic.serve import run_serving
-
-    counters_before = _counter_snapshot()
-    report = run_serving(pickled_spec)
-    return report, _counter_deltas(counters_before, _counter_snapshot())
-
-
-def execute_serving_runs(specs: List[object], jobs: int) -> List[object]:
-    """Run whole :class:`ServeSpec` runs across worker processes.
-
-    Reports come back in submission order; each worker's counter deltas
-    fold into the parent registry, so metrics match a sequential sweep.
-    With ``jobs <= 1`` (or a single spec) the runs execute in-process.
+    *fn* must be a module-level function (the pool pickles a reference
+    to it).  With ``jobs <= 1`` or fewer than two items everything runs
+    in-process.  Otherwise each worker's deltas are folded into the
+    parent registry once the pool has drained.
     """
     import multiprocessing
 
     jobs = max(1, int(jobs))
-    if jobs == 1 or len(specs) <= 1:
-        reports = []
-        for spec in specs:
-            report, _ = run_serving_shard(spec)
-            reports.append(report)
-        return reports
+    if jobs == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=min(jobs, len(specs)),
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
                              mp_context=context) as pool:
-        futures = [pool.submit(run_serving_shard, spec) for spec in specs]
+        futures = [pool.submit(fn, item) for item in items]
         outcomes = [future.result() for future in futures]
     for _, deltas in outcomes:
         fold_counter_deltas(deltas)
-    return [report for report, _ in outcomes]
+    return outcomes

@@ -160,9 +160,8 @@ def check_result(result: Dict[str, Any]) -> List[str]:
 
 def write_result(result: Dict[str, Any], path: pathlib.Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def render_summary(result: Dict[str, Any]) -> str:

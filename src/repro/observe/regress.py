@@ -17,7 +17,8 @@ What gates (threshold ``t``, default 0.10; all comparisons are strict
   a cache stopped hitting or a hot path started re-doing work.
 - **digests** (the metrics document's ``digests`` section: manifest
   digest identities published by the benchmarks): fail on **any**
-  inequality.  A digest is not a quantity -- a one-bit drift means the
+  inequality, including a baseline digest the current run no longer
+  emits.  A digest is not a quantity -- a one-bit drift means the
   simulated behaviour changed, so the threshold never applies.
 - **timings** (manifest ``total_wall_ms`` and per-experiment
   ``wall_ms``): fail when current > baseline * (1 + t) *and* the
@@ -28,9 +29,10 @@ What gates (threshold ``t``, default 0.10; all comparisons are strict
   baseline).
 
 Counters that *shrink* and non-cost counters are reported informationally
-but never fail the gate.  Metrics present on only one side are skipped:
-the baseline defines the contract, so adding instrumentation never breaks
-an old baseline.
+but never fail the gate.  Counters and timings present on only one side,
+and digests present only in the current run, are skipped: the baseline
+defines the contract, so adding instrumentation never breaks an old
+baseline.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ class RegressionReport:
             flag = "REGRESSED" if delta.regression else "ok"
             if delta.kind == "digest":
                 outcome = ("match" if delta.baseline == delta.current
-                           else f"{delta.baseline} -> {delta.current}")
+                           else f"{delta.baseline} -> "
+                           f"{delta.current or 'missing'}")
                 lines.append(
                     f"  [{flag:>9}] {delta.kind:<7} {delta.name}: {outcome}"
                 )
@@ -153,15 +156,17 @@ def compare_runs(
             Delta("counter", name, float(base), float(cur), regressed)
         )
 
-    # Digest identities: exact equality, no threshold.  Skipped when only
-    # one side has them, like counters (the baseline is the contract).
+    # Digest identities: exact equality, no threshold.  The baseline is
+    # the contract: a pinned digest the current run no longer emits
+    # fails (a bench silently dropping a section must not pass), while
+    # a digest only the current run has is skipped.
     baseline_digests = baseline_metrics.get("digests", {})
     current_digests = current_metrics.get("digests", {})
     for name in sorted(baseline_digests):
-        if name not in current_digests:
-            continue
         base_digest = str(baseline_digests[name])
-        cur_digest = str(current_digests[name])
+        cur_digest = current_digests.get(name)
+        if cur_digest is not None:
+            cur_digest = str(cur_digest)
         report.deltas.append(
             Delta("digest", name, base_digest, cur_digest,
                   base_digest != cur_digest)

@@ -147,7 +147,8 @@ class UsageTrace:
     def digest(self) -> str:
         """sha256 over the canonical JSON form (hash-seed independent)."""
         payload = json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":")
+            self.as_dict(), sort_keys=True, separators=(",", ":"),
+            allow_nan=False,
         )
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 

@@ -293,9 +293,18 @@ def run_serving_many(specs: List[ServeSpec],
     run's manifest irreproducible from independently-executed app
     slices (see ``docs/SERVING.md``).
     """
-    from repro.harness.shardpool import execute_serving_runs
+    from repro.harness.shardpool import fan_out
 
-    return execute_serving_runs(list(specs), jobs)
+    return [report for report, _ in fan_out(_serve_with_deltas, specs, jobs)]
+
+
+def _serve_with_deltas(spec: ServeSpec):
+    """One whole serving run plus the counter deltas it caused."""
+    from repro.harness.shardpool import counter_deltas, counter_snapshot
+
+    before = counter_snapshot()
+    report = run_serving(spec)
+    return report, counter_deltas(before)
 
 
 def run_serving(spec: ServeSpec) -> ServingReport:

@@ -83,36 +83,14 @@ class LinuxServerStack:
         syscalls fall back to the stepped loop to preserve its
         charge-then-raise semantics.
         """
+        if self.engine.batch_plan(profile.syscalls) is None:
+            return self.run_stepped(profile, requests)
         start = self.engine.clock_ns
-        self.serve_chunk(profile, requests)
+        self.engine.invoke_batch(
+            profile.syscalls, self._work_ns(profile, profile.app_ns), requests
+        )
         elapsed_s = (self.engine.clock_ns - start) / 1e9
         return requests / elapsed_s
-
-    def serve_chunk(self, profile: RequestProfile, requests: int) -> None:
-        """Charge *requests* requests without rate accounting.
-
-        The unit of work the fleet's global event loop interleaves:
-        because ``invoke_batch`` folds element-wise over the engine's
-        running accumulator and jitter phases key off the continuous
-        ``call_count``, serving ``n`` requests as any sequence of chunks
-        is bit-for-bit identical to one ``n``-request batch -- which is
-        what lets interleaved guests reproduce the sequential oracle's
-        manifest exactly.  Profiles naming a config-gated syscall take
-        the stepped loop, preserving its charge-then-raise semantics.
-        The probe is the engine's cached batch plan, which
-        ``invoke_batch`` then reuses.
-        """
-        if self.engine.batch_plan(profile.syscalls) is not None:
-            self.engine.invoke_batch(
-                profile.syscalls,
-                self._work_ns(profile, profile.app_ns),
-                requests,
-            )
-            return
-        for _ in range(requests):
-            for name in profile.syscalls:
-                self.engine.invoke(name)
-            self.engine.cpu_work(self._work_ns(profile, profile.app_ns))
 
     def run_stepped(self, profile: RequestProfile, requests: int) -> float:
         """The reference per-request loop (the oracle :meth:`run` must

@@ -8,7 +8,9 @@
 - ``fault_site`` with no plane installed is a shared no-op; the oracle is
   the installed-plane path, which must take over at the very next entry.
 - Trace, pool, resilience and serve specs reject malformed input at
-  construction.
+  construction; ``Fleet.simulate`` and its oracle reject malformed
+  arguments before building any kernel.
+- No NaN reaches a pinned ``BENCH_*.json`` baseline.
 """
 
 import math
@@ -296,6 +298,26 @@ MALFORMED_SERVE_FIELDS = [
     dict(record_usage=None),
 ]
 
+#: Fleet.simulate/simulate_stepped arguments (beyond a well-formed count).
+MALFORMED_FLEET_ARGS = [
+    dict(count=True),
+    dict(count=2.0),
+    dict(count="3"),
+    dict(count=-1),
+    dict(requests_per_guest=0),
+    dict(requests_per_guest=-4),
+    dict(requests_per_guest=2.5),
+    dict(requests_per_guest=True),
+    dict(seed=math.nan),
+    dict(seed=-1),
+    dict(seed=1.5),
+    dict(seed=False),
+    dict(policy="general"),
+    dict(policy=None),
+    dict(kml="no"),
+    dict(kml=0),
+]
+
 
 class TestMalformedSpecs:
     @pytest.mark.parametrize("fields", MALFORMED_TRACES)
@@ -319,6 +341,19 @@ class TestMalformedSpecs:
         with pytest.raises(ValueError):
             ServeSpec(trace=trace, policy=SCALE_TO_ZERO, **fields)
 
+    @pytest.mark.parametrize("simulate", ["simulate", "simulate_stepped"])
+    @pytest.mark.parametrize("fields", MALFORMED_FLEET_ARGS)
+    def test_fleet_args_rejected_before_any_build(self, simulate, fields,
+                                                  monkeypatch):
+        from repro.core.orchestrator import Fleet, KernelOrchestrator
+
+        def no_build(orchestrator, app):
+            raise AssertionError(f"built a kernel for {app.name}")
+
+        monkeypatch.setattr(KernelOrchestrator, "unikernel_for", no_build)
+        with pytest.raises(ValueError):
+            getattr(Fleet, simulate)(**{"count": 3, **fields})
+
     def test_well_formed_specs_still_construct(self):
         TraceSpec(kind="poisson", requests=0, mean_rps=1.0)
         TraceSpec(kind="bursty", requests=10, mean_rps=0.0, on_rps=10.0,
@@ -330,3 +365,22 @@ class TestMalformedSpecs:
         trace = TraceSpec(kind="poisson", requests=10, mean_rps=100.0)
         ServeSpec(trace=trace, policy=FIXED_POOL, seed=0, kml=False,
                   record_usage=True)
+
+
+class TestNanNeverPinned:
+    @pytest.mark.parametrize("module", [
+        "repro.core.bench",
+        "repro.kconfig.bench",
+        "repro.simcore.bench",
+        "repro.traffic.bench",
+    ])
+    def test_write_result_rejects_nan_gauge(self, module, tmp_path):
+        import importlib
+
+        bench = importlib.import_module(module)
+        path = tmp_path / "BENCH.json"
+        result = {"counters": {}, "gauges": {"g": math.nan}, "digests": {},
+                  "histograms": {}}
+        with pytest.raises(ValueError):
+            bench.write_result(result, path)
+        assert not path.exists()

@@ -226,7 +226,7 @@ def main(argv=None) -> int:
       "`bench-serve`, `bench-derive`) each write a JSON result with "
       "four sections: "
       "`counters` (monotonic work deltas — boots, resolutions, events "
-      "dispatched), `gauges` (point measurements — guests/tick-sec, "
+      "dispatched), `gauges` (point measurements — fleet sizes, "
       "latency percentiles), `digests` (manifest digest48 identities), "
       "and `histograms`. The `regress` gate compares cost counters "
       "with a growth threshold but pins every `digests` entry by "
@@ -237,25 +237,15 @@ def main(argv=None) -> int:
     w("`bench-guests` sections (`BENCH_guests.json`):\n\n")
     w("| Section | Fleet |\n|---|---|\n")
     w("| `fleet_general` | 1000 guests, shared general kernel, "
-      "sequential per-guest fold (the digest oracle) |\n")
-    w("| `fleet_per_app` | 200 guests, one kernel per app |\n")
-    w("| `fleet_general_cohort` | the 1000-guest general fleet, "
-      "cohort-vectorized (one representative per app, members "
-      "replayed); digest must equal `fleet_general`'s |\n")
-    w("| `fleet_general_tenk` | 10,000 guests, cohort fold, single "
-      "process — the sharded run's oracle |\n")
-    w("| `fleet_general_sharded` | the same 10,000 guests across "
-      "`--jobs` worker processes; digest must equal "
-      "`fleet_general_tenk`'s, throughput gated ≥ 5000 "
-      "guests/tick-sec |\n")
-    w("| `fleet_general_global` | (with `--global-loop`) the 1000-guest "
-      "fleet as one EventCore loop; digest must equal "
-      "`fleet_general`'s |\n\n")
-    w("`tools/check.sh` runs `bench-guests --check` at `--jobs 2` *and* "
-      "`--jobs 7` against the same pinned baseline — the "
-      "shard-determinism gate: same seed ⇒ byte-identical merged "
-      "manifest for any job count (see docs/ARCHITECTURE.md \"Sharded "
-      "execution\").\n\n")
+      "`Fleet.simulate_stepped`: every guest simulated (the digest "
+      "oracle) |\n")
+    w("| `fleet_per_app` | 200 guests, one kernel per app, stepped |\n")
+    w("| `fleet_general_cohort` | the 1000-guest general fleet through "
+      "`Fleet.simulate`'s cohort fold (one representative per app, "
+      "members replayed); digest must equal `fleet_general`'s |\n\n")
+    w("`tools/check.sh` runs `bench-guests --check` once and regresses "
+      "it against the pinned baseline; a pinned digest the run no "
+      "longer emits fails the gate.\n\n")
     w("`bench-derive` (`BENCH_derive.json`, see "
       "docs/SPECIALIZATION.md) runs the trace-driven specialization "
       "loop — record each top-20 app's usage, derive a config from the "
