@@ -372,8 +372,8 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
             print(f"CHECK FAILED : {failure}", file=sys.stderr)
         if failures:
             return 1
-        print("check        : ok (determinism, churn scale, and "
-              "warm-pool tail criteria hold)")
+        print("check        : ok (determinism, churn scale, warm-pool "
+              "tail, and warm-hit fold criteria hold)")
     return 0
 
 

@@ -48,7 +48,12 @@ Serving extensions (the ``repro.traffic`` layer drives these):
   whether it is parked or waiting on a (later) armed deadline.  A kick
   supersedes the pending heap entry via a per-runner generation
   counter: the stale entry is skipped on pop without counting as a
-  dispatch, so wake-ups never double-run a guest.
+  dispatch, so wake-ups never double-run a guest;
+- :meth:`EventCore.next_key` peeks at the earliest live heap key, so a
+  running program can do work inline when it knows nothing else is due
+  first (the serving router's warm-hit fold);
+- :meth:`EventCore.step` dispatches exactly one event (``run()`` is it
+  in a loop), so a test can check serving invariants between any two.
 
 Determinism: the heap is keyed ``(virtual_ns, seq)`` with ``seq`` a
 monotone counter and programs run on one thread, so the same programs
@@ -75,10 +80,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
+from repro.faults.plane import FaultInjected, fault_site
 from repro.simcore.clock import VirtualClock
+from repro.simcore.context import use_clock
 
 
 class _ParkSentinel:
@@ -253,6 +261,23 @@ class EventCore:
         self.stats.kicks += 1
         self._push(max(float(at_ns), runner.clock.now_ns), runner)
 
+    def next_key(self) -> float:
+        """The key of the earliest live heap entry (``inf``: none).
+
+        Superseded and retired entries at the top are dropped on the way
+        -- ``run()`` would skip them anyway.  The serving fold peeks here
+        to learn whether anything is due before an instant it wants to
+        handle inline.
+        """
+        heap = self._heap
+        while heap:
+            _, _, gen, runner = heap[0]
+            if runner.done or gen != runner.gen:
+                heapq.heappop(heap)
+                continue
+            return heap[0][0]
+        return math.inf
+
     # -- the loop ----------------------------------------------------------
 
     def run(self) -> EventCoreStats:
@@ -268,56 +293,70 @@ class EventCore:
         counters: events dispatched, guests fast-forwarded in closed
         form, parks/kicks, and the heap's high-water mark.
         """
-        from repro.faults.plane import FaultInjected, fault_site
-        from repro.simcore.context import use_clock
+        while self.step():
+            pass
+        self._publish()
+        return self.stats
 
-        while self._heap:
-            key_ns, _, gen, runner = heapq.heappop(self._heap)
+    def step(self) -> bool:
+        """Dispatch the earliest live heap entry; False once none is left.
+
+        ``run()`` is this in a loop.  Stepping by hand lets a caller look
+        at the fleet between any two events (the serving state-machine
+        tests check their invariants there); stats accumulate either
+        way, but only ``run()`` publishes them.
+        """
+        heap = self._heap
+        while heap:
+            key_ns, _, gen, runner = heapq.heappop(heap)
             if runner.done or gen != runner.gen:
                 # Superseded by a kick (or retired): a stale entry, not
                 # a dispatch.
                 continue
-            self.stats.events_dispatched += 1
-            if key_ns > runner.clock.now_ns:
-                # Idle guest whose parked deadline is now the earliest
-                # fleet event: land on it in one closed-form jump (due
-                # events fire inside advance_to).
-                self.stats.guests_fast_forwarded += 1
-                runner.clock.advance_to(key_ns)
-            try:
-                with use_clock(runner.clock):
-                    with fault_site("eventcore.dispatch"):
-                        idle_until = next(runner.program)
-            except StopIteration:
-                runner.done = True
-                continue
-            except FaultInjected as error:
-                # Containment, not swallowing: the runner dies with a
-                # structured failure record and a counter, the rest of
-                # the fleet keeps running.  Anything that is *not* an
-                # injected fault still propagates -- a real bug should
-                # crash the run, loudly.
-                runner.done = True
-                runner.parked = False
-                self.stats.guest_failures += 1
-                self.failures.append((runner.name, error))
-                if self.on_failure is not None:
-                    self.on_failure(runner.name, error)
-                continue
-            if idle_until is PARK:
-                runner.parked = True
-                self.stats.parks += 1
-                continue
-            next_key = (runner.clock.now_ns if idle_until is None
-                        else float(idle_until))
-            if next_key < runner.clock.now_ns:
-                raise EventCoreError(
-                    f"guest {runner.name!r} yielded deadline {next_key} "
-                    f"behind its own clock ({runner.clock.now_ns})"
-                )
-            self._push(next_key, runner)
-        self._publish()
-        return self.stats
+            self._dispatch(key_ns, runner)
+            return True
+        return False
+
+    def _dispatch(self, key_ns: float, runner: _Runner) -> None:
+        self.stats.events_dispatched += 1
+        if key_ns > runner.clock.now_ns:
+            # Idle guest whose parked deadline is now the earliest fleet
+            # event: land on it in one closed-form jump (due events fire
+            # inside advance_to).
+            self.stats.guests_fast_forwarded += 1
+            runner.clock.advance_to(key_ns)
+        try:
+            with use_clock(runner.clock):
+                with fault_site("eventcore.dispatch"):
+                    idle_until = next(runner.program)
+        except StopIteration:
+            runner.done = True
+            return
+        except FaultInjected as error:
+            # Containment, not swallowing: the runner dies with a
+            # structured failure record and a counter, the rest of the
+            # fleet keeps running.  Anything that is *not* an injected
+            # fault still propagates -- a real bug should crash the run,
+            # loudly.
+            runner.done = True
+            runner.parked = False
+            self.stats.guest_failures += 1
+            self.failures.append((runner.name, error))
+            if self.on_failure is not None:
+                self.on_failure(runner.name, error)
+            return
+        if idle_until is PARK:
+            runner.parked = True
+            self.stats.parks += 1
+            return
+        next_key = (runner.clock.now_ns if idle_until is None
+                    else float(idle_until))
+        if next_key < runner.clock.now_ns:
+            raise EventCoreError(
+                f"guest {runner.name!r} yielded deadline {next_key} "
+                f"behind its own clock ({runner.clock.now_ns})"
+            )
+        self._push(next_key, runner)
 
     # -- internals ---------------------------------------------------------
 

@@ -164,7 +164,9 @@ class Guest:
         """Serve *requests* of *profile* through the live engine; rps.
 
         Allowed from BUILT (steady-state measurement, boot excluded from
-        the engine fold) or BOOTED (full-lifecycle guests).
+        the engine fold) or BOOTED (full-lifecycle guests).  A request
+        count that is not an int >= 1 raises ``ValueError`` before the
+        engine is touched.
         """
         if self.state not in (GuestState.BUILT, GuestState.BOOTED):
             raise GuestLifecycleError(
@@ -196,9 +198,9 @@ class Guest:
     @property
     def server_stack(self):
         """The guest's server workload stack (engine + network path)."""
-        from repro.workloads.server import LinuxServerStack
-
         if self._stack is None:
+            from repro.workloads.server import LinuxServerStack
+
             self._require_built("server_stack")
             if self.netpath is None:
                 raise GuestLifecycleError(

@@ -62,6 +62,25 @@ class SyscallResult:
     value: int = 0
 
 
+#: Calls after which the deterministic jitter phase repeats.
+JITTER_PERIOD = 1000
+
+#: The request-cost table shared by every engine: ``(cost model, syscall
+#: names, work ns)`` -> one slot per jitter phase (``call_count %
+#: JITTER_PERIOD``), each the addends of one round started at that phase
+#: (one per syscall, then the work), filled on first use.  Keys are
+#: immutable and every row is a pure function of its key and phase, so
+#: sharing rows across engines is sound.
+_ROUND_ADDENDS: Dict[
+    Tuple[CpuCostModel, Tuple[str, ...], float],
+    List[Optional[Tuple[float, ...]]],
+] = {}
+
+#: Keys kept before the table starts over (rows are pure, so dropping
+#: them costs only recomputation).
+_ROUND_ADDENDS_MAX_KEYS = 4096
+
+
 class BatchPlan(NamedTuple):
     """What ``invoke_batch`` needs of one name tuple, looked up once.
 
@@ -72,10 +91,50 @@ class BatchPlan(NamedTuple):
 
     cost_model: CpuCostModel
     enabled_options: FrozenSet[str]
+    names: Tuple[str, ...]
     syscalls: Tuple[Syscall, ...]
     #: Per-position jitter-free latency, ``cost_model.syscall_ns(...)``.
     bases: Tuple[float, ...]
     entry_ns: float
+    #: ``work_ns`` -> this plan's phase slots in :data:`_ROUND_ADDENDS`.
+    phase_rows: Dict[float, List[Optional[Tuple[float, ...]]]]
+
+    def round_addends(self, work_ns: float,
+                      call_count: int) -> Tuple[float, ...]:
+        """:meth:`compute_round`, memoized in the shared request-cost
+        table (the single-request serving path)."""
+        rows = self.phase_rows.get(work_ns)
+        if rows is None:
+            key = (self.cost_model, self.names, work_ns)
+            rows = _ROUND_ADDENDS.get(key)
+            if rows is None:
+                if len(_ROUND_ADDENDS) >= _ROUND_ADDENDS_MAX_KEYS:
+                    _ROUND_ADDENDS.clear()
+                rows = _ROUND_ADDENDS[key] = [None] * JITTER_PERIOD
+            self.phase_rows[work_ns] = rows
+        phase = call_count % JITTER_PERIOD
+        row = rows[phase]
+        if row is None:
+            row = rows[phase] = self.compute_round(work_ns, phase)
+        return row
+
+    def compute_round(self, work_ns: float,
+                      call_count: int) -> Tuple[float, ...]:
+        """The addends of one round (every name, then *work_ns*) started
+        at *call_count*: the same expressions, in the same order, that
+        ``invoke(name)`` for each name plus ``cpu_work(work_ns)`` add."""
+        addends: List[float] = []
+        count = call_count % JITTER_PERIOD
+        for base in self.bases:
+            jitter_phase = (count * 2654435761) % JITTER_PERIOD
+            # Same expression *and association* as invoke()+_jitter():
+            # float multiplication is no more associative than addition.
+            addends.append(
+                base + ((jitter_phase / 1000.0) - 0.5) * 0.03 * self.entry_ns
+            )
+            count += 1
+        addends.append(work_ns)
+        return tuple(addends)
 
 
 @dataclass
@@ -170,11 +229,13 @@ class SyscallEngine:
         plan = BatchPlan(
             cost_model=model,
             enabled_options=self.enabled_options,
+            names=key,
             syscalls=syscalls,
             bases=tuple(
                 model.syscall_ns(s.handler_ns, s.data_path) for s in syscalls
             ),
             entry_ns=model.entry.entry_ns,
+            phase_rows={},
         )
         self._plans[key] = plan
         return plan
@@ -234,8 +295,11 @@ class SyscallEngine:
         of the syscall, and the deterministic jitter a pure function of
         the call sequence number with period 1000 (``c * 2654435761 mod
         1000``).  The full addend series therefore repeats every
-        ``lcm(len(names), 1000) / len(names)`` rounds, so one period is
-        materialized and the fold replayed from it.  The fold itself must
+        ``lcm(len(names), 1000) / len(names)`` rounds, so one period of
+        rows is materialized (:meth:`BatchPlan.compute_round`) and the
+        fold replayed from it; a single round -- the serving path --
+        reads its row from the shared request-cost table instead
+        (:meth:`BatchPlan.round_addends`).  The fold itself must
         stay element-wise -- IEEE-754 addition is not associative, and
         golden parity requires the exact same additions in the exact same
         order as the stepped loop -- but it runs over a local float with
@@ -260,34 +324,9 @@ class SyscallEngine:
             raise AssertionError("batch_plan refused an ungated batch")
         if repeats == 0:
             return self.clock_ns
-        bases, entry_ns = plan.bases, plan.entry_ns
-        stride = len(bases)
-        # Distinct jitter phases recur after period(stride) rounds.
-        period = 1000 // math.gcd(stride, 1000) if stride else 1
-        period = min(period, repeats)
-        start_count = self.call_count
-        addends: List[float] = []
-        for round_index in range(period):
-            count = start_count + round_index * stride
-            for base in bases:
-                phase = (count * 2654435761) % 1000
-                # Same expression *and association* as invoke()+_jitter():
-                # float multiplication is no more associative than
-                # addition.
-                addends.append(
-                    base + ((phase / 1000.0) - 0.5) * 0.03 * entry_ns
-                )
-                count += 1
-            addends.append(work_ns)
-        clock = self.clock_ns
-        full_periods, tail_rounds = divmod(repeats, period)
-        for _ in range(full_periods):
-            for addend in addends:
-                clock += addend
-        for addend in addends[: tail_rounds * (stride + 1)]:
-            clock += addend
+        clock = self._fold(plan, work_ns, repeats, self.clock_ns)
         self.clock.advance_to(clock)
-        self.call_count += repeats * stride
+        self.call_count += repeats * len(plan.bases)
         for name in names:
             self.per_syscall_counts[name] = (
                 self.per_syscall_counts.get(name, 0) + repeats
@@ -297,6 +336,53 @@ class SyscallEngine:
             # full repeat count -- no stepping, same totals as the loop.
             for name, syscall in zip(names, plan.syscalls):
                 self.usage.record(name, syscall.option, repeats)
+        return clock
+
+    def batch_end_ns(self, names: Sequence[str], work_ns: float,
+                     start_ns: float) -> Optional[float]:
+        """Where ``invoke_batch(names, work_ns, 1)`` would leave a clock
+        reading *start_ns*, charging nothing (None: a name is gated).
+
+        The serving fold uses it to learn when a request would finish
+        before deciding to serve it inline; it folds the same request-cost
+        row ``invoke_batch`` will, so the two cannot disagree.
+        """
+        plan = self.batch_plan(names)
+        if plan is None:
+            return None
+        return self._fold(plan, work_ns, 1, start_ns)
+
+    def _fold(self, plan: BatchPlan, work_ns: float, repeats: int,
+              clock: float) -> float:
+        """*clock* plus ``repeats`` rounds of addends, starting at the
+        current call count.
+
+        The fold must stay element-wise -- IEEE-754 addition is not
+        associative -- but the jitter phase repeats every
+        ``JITTER_PERIOD / gcd(stride, JITTER_PERIOD)`` rounds, so one
+        period of rows is gathered and replayed.
+        """
+        if repeats == 1:  # the serving shape: one row
+            for addend in plan.round_addends(work_ns, self.call_count):
+                clock += addend
+            return clock
+        stride = len(plan.bases)
+        period = (JITTER_PERIOD // math.gcd(stride, JITTER_PERIOD)
+                  if stride else 1)
+        period = min(period, repeats)
+        # A multi-round fold amortizes its rows over many rounds, so they
+        # are computed here rather than kept in the table.
+        addends: List[float] = []
+        count = self.call_count
+        for _ in range(period):
+            addends.extend(plan.compute_round(work_ns, count))
+            count += stride
+        full_periods, tail_rounds = divmod(repeats, period)
+        for _ in range(full_periods):
+            for addend in addends:
+                clock += addend
+        for addend in addends[: tail_rounds * (stride + 1)]:
+            clock += addend
         return clock
 
     def _jitter(self) -> float:

@@ -71,6 +71,7 @@ from repro.traffic.serve import (
     ServingReport,
     run_serving,
     run_serving_many,
+    run_serving_stepped,
 )
 from repro.traffic.supervisor import (
     DEFAULT_RESILIENCE,
@@ -107,6 +108,7 @@ __all__ = [
     "ServingReport",
     "run_serving",
     "run_serving_many",
+    "run_serving_stepped",
     "DEFAULT_RESILIENCE",
     "CircuitBreaker",
     "ResiliencePolicy",

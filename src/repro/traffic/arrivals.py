@@ -29,6 +29,7 @@ with the router's idea of when the next request lands -- the property
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -201,8 +202,11 @@ def zipf_app_mix(apps: Sequence[str], spec: TraceSpec,
         raise ValueError("the app mix needs at least one app")
     rng = _mix_rng(seed)
     weights = [1.0 / (rank + 1) ** spec.zipf_s for rank in range(len(apps))]
+    # ``choices(weights=...)`` rebuilds these sums on every draw; the
+    # same cumulative list draws the same apps.
+    cum_weights = list(itertools.accumulate(weights))
     while True:
-        yield rng.choices(apps, weights=weights, k=1)[0]
+        yield rng.choices(apps, cum_weights=cum_weights, k=1)[0]
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,9 @@ class ArrivalSource:
     :meth:`take` hands the delivered :class:`Arrival` to the router.
     Arming through the clock keeps ``clock.next_deadline_ns()`` equal to
     :attr:`next_arrival_ns` -- the agreement property the tests pin.
+    :meth:`peek_ns` draws the next trace instant one ahead without
+    arming it, so the serving fold can tell whether an arrival lands
+    before a request it wants to serve inline finishes.
 
     A fault hang on the arrival path advances the arrivals clock, which
     may push ``now`` past upcoming trace instants; those arrivals are
@@ -239,12 +246,49 @@ class ArrivalSource:
         self._mix = zipf_app_mix(apps, spec, seed)
         self._index = 0
         self._delivered: Optional[Arrival] = None
+        #: The trace instant :meth:`peek_ns` drew ahead (not yet armed).
+        self._ahead: Optional[float] = None
         self.next_arrival_ns: Optional[float] = None
         self.clamped = 0
 
+    def peek_ns(self) -> Optional[float]:
+        """The next trace instant, unarmed (None: trace done).
+
+        :meth:`arm_next` arms exactly this instant (clamped to the clock,
+        as ever); drawing it early changes nothing, since the app mix is
+        drawn from its own generator.
+        """
+        if self._ahead is None:
+            self._ahead = next(self._times, None)
+        return self._ahead
+
     def arm_next(self) -> Optional[float]:
         """Arm the next arrival; returns its deadline (None: trace done)."""
-        t = next(self._times, None)
+        arrival = self._draw()
+        if arrival is None:
+            return None
+        if arrival.arrival_ns > self.clock.now_ns:
+            self.clock.call_at(
+                arrival.arrival_ns, lambda: self._deliver(arrival)
+            )
+        else:
+            self._deliver(arrival)
+        return arrival.arrival_ns
+
+    def take_next(self) -> Arrival:
+        """Deliver the next arrival now: the clock lands on its instant,
+        exactly as when its armed deadline fires (the trace must not be
+        done -- check :meth:`peek_ns` first)."""
+        arrival = self._draw()
+        if arrival is None:
+            raise RuntimeError("the trace is done")
+        self.clock.advance_to(arrival.arrival_ns)
+        return arrival
+
+    def _draw(self) -> Optional[Arrival]:
+        """The next arrival, clamped to the clock (None: trace done)."""
+        t = self.peek_ns()
+        self._ahead = None
         if t is None:
             self.next_arrival_ns = None
             return None
@@ -254,13 +298,7 @@ class ArrivalSource:
         if arrival.arrival_ns > t:
             self.clamped += 1
         self.next_arrival_ns = arrival.arrival_ns
-        if arrival.arrival_ns > self.clock.now_ns:
-            self.clock.call_at(
-                arrival.arrival_ns, lambda: self._deliver(arrival)
-            )
-        else:
-            self._deliver(arrival)
-        return arrival.arrival_ns
+        return arrival
 
     def take(self) -> Arrival:
         """The arrival whose armed deadline just fired."""

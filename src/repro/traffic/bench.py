@@ -65,7 +65,12 @@ _WORK_COUNTERS = (
     "eventcore.guests_fast_forwarded",
     "eventcore.kicks",
     "eventcore.parks",
+    "traffic.folded_requests",
 )
+
+#: Share of the fixed pool's requests the warm-hit fold must serve
+#: inline: below it, the fast path has quietly fallen back to stepping.
+MIN_FIXED_POOL_FOLDED_FRACTION = 0.9
 
 
 def canonical_trace(requests: int = SERVE_REQUESTS):
@@ -224,6 +229,15 @@ def check_result(result: Dict[str, Any]) -> List[str]:
         failures.append(
             f"fixed-pool p999 {tail_warm:g} ms is not below scale-to-zero's "
             f"{tail_cold:g} ms; the warm pool must buy the tail back"
+        )
+    folded = counters.get("traffic.folded_requests.serve_fixed_pool", 0)
+    warm_served = gauges.get("serve.requests.serve_fixed_pool", 0.0)
+    if folded < MIN_FIXED_POOL_FOLDED_FRACTION * warm_served:
+        failures.append(
+            f"the warm-hit fold served {folded} of {warm_served:g} "
+            f"fixed-pool requests, under "
+            f"{MIN_FIXED_POOL_FOLDED_FRACTION:.0%}; warm hits fell back "
+            "to stepping"
         )
     if counters.get("eventcore.kicks.serve_scale_to_zero", 0) <= 0:
         failures.append(

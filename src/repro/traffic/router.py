@@ -45,8 +45,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
+from repro.faults.plane import FaultInjected, fault_site
 from repro.simcore.eventcore import PARK, EventCore, drain_deadlines
-from repro.traffic.arrivals import Arrival
+from repro.traffic.arrivals import Arrival, ArrivalSource
 from repro.traffic.policy import WarmPoolPolicy
 from repro.traffic.supervisor import (
     DEFAULT_RESILIENCE,
@@ -95,6 +96,9 @@ class GuestWorker:
     #: Stalled on an injected hang, awaiting the watchdog.
     hung: bool = False
     retire_ns: Optional[float] = None
+    #: The idle deadline armed while pooled under an idle timeout; None
+    #: once the worker is handed work (or when none is armed).
+    idle_until: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,12 @@ class Router:
     def __init__(self, core: EventCore, orchestrator, policy: WarmPoolPolicy,
                  apps: List[str],
                  resilience: ResiliencePolicy = DEFAULT_RESILIENCE,
-                 record_usage: bool = False) -> None:
+                 record_usage: bool = False,
+                 source: Optional[ArrivalSource] = None) -> None:
         self.core = core
+        #: The run's arrival source when warm hits fold (see
+        #: :meth:`_serve_inline`); None runs every request stepped.
+        self.source = source
         self.orchestrator = orchestrator
         self.policy = policy
         self.resilience = resilience
@@ -148,6 +156,8 @@ class Router:
         self.guest_hangs = 0
         self.boot_failures = 0
         self.watchdog_kills = 0
+        #: Requests served inline by the warm-hit fold.
+        self.folded = 0
         self.failed_reasons: Dict[str, int] = {}
         self.shed_reasons: Dict[str, int] = {}
         self._finalizing = False
@@ -165,10 +175,6 @@ class Router:
         """An arrival the fault plane failed: counted, never served."""
         self.arrivals += 1
         self.dropped += 1
-
-    def next_arrival_hint(self, source) -> Optional[float]:
-        """The router's idea of the next arrival: what the source armed."""
-        return source.next_arrival_ns
 
     def pre_warm(self) -> None:
         """Spawn the policy's pre-warmed workers per app at virtual zero."""
@@ -220,6 +226,10 @@ class Router:
             worker = pool.pop()  # LIFO: most-recently-idle first
             if worker.retired:
                 continue  # killed while pooled (contained dispatch fault)
+            if self.source is not None and self._serve_inline(
+                    worker, request, at_ns):
+                return
+            worker.idle_until = None
             worker.inbox.append(request)
             self.core.kick(worker.name, at_ns)
             return
@@ -371,8 +381,6 @@ class Router:
                         start_ns=start_ns)
 
     def _worker_program(self, worker: GuestWorker):
-        from repro.faults import FaultInjected, fault_site
-
         guest = worker.guest
         guest.build()
         if self.record_usage:
@@ -418,20 +426,27 @@ class Router:
             if worker.retiring:
                 self._leave_pool(worker)
                 break
+            if worker.idle_until is not None:
+                # Woken by the armed idle deadline itself (a kick with
+                # work clears it): scale to zero, unless the policy
+                # floor pins this worker warm.
+                worker.idle_until = None
+                if self.live[worker.app] - 1 >= self.policy.min_warm:
+                    self._leave_pool(worker)
+                    break
+                yield PARK  # pinned warm, still pooled
+                continue
             self._enter_pool(worker)
             timeout_ns = self.policy.idle_timeout_ns
             if timeout_ns is None:
                 yield PARK  # keepalive forever: only a kick wakes us
                 continue
-            yield guest.clock.now_ns + timeout_ns
-            if worker.inbox or worker.retiring:
-                continue  # kicked awake with work (or into retirement)
-            # The idle timeout genuinely expired: scale to zero, unless
-            # the policy floor pins this worker warm.
-            if self.live[worker.app] - 1 >= self.policy.min_warm:
-                self._leave_pool(worker)
-                break
-            yield PARK
+            worker.idle_until = guest.clock.now_ns + timeout_ns
+            yield worker.idle_until
+            # Every pooled wait resumes here, at the loop top: with work,
+            # into retirement, or with its idle deadline due.  The
+            # warm-hit fold relies on that to serve a pooled worker
+            # without resuming it.
         yield from drain_deadlines(guest.clock)
         guest.shutdown()
         self._on_retired(worker)
@@ -444,8 +459,6 @@ class Router:
         the core's containment (the satellite audit's no-broad-except
         rule).
         """
-        from repro.faults import FaultInjected, fault_site
-
         try:
             with fault_site("guest.hang"):
                 with fault_site("guest.crash"):
@@ -491,7 +504,64 @@ class Router:
             return backlog.popleft()
         return None
 
-    def _serve_one(self, worker: GuestWorker, request: Request) -> None:
+    def _serve_inline(self, worker: GuestWorker, request: Request,
+                      at_ns: float) -> bool:
+        """The warm-hit fold: serve *request* on pooled *worker* right now.
+
+        The stepped path kicks the worker at ``at_ns``; its program then
+        serves the request and, at the finish instant, finds no work and
+        re-enters the pool (re-arming its idle deadline).  When nothing
+        else can run in between -- no heap entry and no arrival at or
+        before the finish instant, no backlog for the app -- those two
+        dispatches change nothing but the worker, so the router does
+        their work itself: advance the worker's clock to the arrival,
+        serve through the same :meth:`_serve_one`, put the worker back
+        in its pool.  The worker's program stays suspended in its pooled
+        wait, which resumes at the loop top however it is woken.
+
+        Returns False, having changed nothing, when the fold does not
+        apply; the caller then kicks the worker as the stepped path
+        does.  The finish instant is computed up front from the same
+        request-cost row the serve charges.
+        """
+        if worker.retiring or self._finalizing or self.backlog[worker.app]:
+            return False
+        guest = worker.guest
+        start_ns = max(at_ns, guest.clock.now_ns)
+        done_ns = guest.server_stack.request_end_ns(
+            self._profiles[worker.app], start_ns
+        )
+        if done_ns is None or done_ns >= self.core.next_key():
+            return False
+        next_arrival = self.source.peek_ns()
+        timeout_ns = self.policy.idle_timeout_ns
+        if next_arrival is not None and (
+                done_ns >= next_arrival
+                # The stepped worker arms its idle deadline after the
+                # arrivals program armed this arrival, so at a tie the
+                # arrival dispatches first; a kick now would invert that.
+                or (timeout_ns is not None
+                    and done_ns + timeout_ns == next_arrival)):
+            return False
+        # Serving guests arm no clock events (only TCP close timers do),
+        # so nothing fires on the way and the peeked instant is exact.
+        guest.clock.advance_to(start_ns)
+        served_ns = self._serve_one(worker, request)
+        if served_ns != done_ns:
+            raise ServingInvariantError(
+                f"{worker.name}: inline serve finished at {served_ns}, "
+                f"peeked {done_ns}"
+            )
+        self.folded += 1
+        self._enter_pool(worker)
+        if timeout_ns is not None:
+            worker.idle_until = done_ns + timeout_ns
+            self.core.kick(worker.name, worker.idle_until)
+        return True
+
+    def _serve_one(self, worker: GuestWorker, request: Request) -> float:
+        """Serve *request* on *worker* and settle it; returns the finish
+        instant.  The one serve path of the stepped worker and the fold."""
         guest = worker.guest
         cold = worker.cold_pending
         worker.cold_pending = False
@@ -500,13 +570,15 @@ class Router:
         if cold:
             self.cold_starts += 1
         arrival = request.arrival
+        done_ns = guest.clock.now_ns
         self.samples.append(LatencySample(
             index=arrival.index,
             app=arrival.app,
-            latency_ns=guest.clock.now_ns - arrival.arrival_ns,
+            latency_ns=done_ns - arrival.arrival_ns,
             cold=cold,
         ))
-        self._complete(request, guest.clock.now_ns)
+        self._complete(request, done_ns)
+        return done_ns
 
     def _enter_pool(self, worker: GuestWorker) -> None:
         self.pools[worker.app].append(worker)

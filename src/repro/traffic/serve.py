@@ -11,6 +11,9 @@
    arrivals clock and dispatching it through the router inside the
    ``traffic.arrival`` fault site (an injected fault drops the request,
    deterministically; a fault hang delays every subsequent arrival);
+   with no plane installed it delivers inline whatever arrives before
+   every heap entry, and the router serves warm hits inline too (the
+   warm-hit fold, whose oracle is :func:`run_serving_stepped`);
 3. ``core.run()`` drains the heap to quiescence -- all traffic settled,
    all idle timeouts and watchdogs resolved, every surviving worker
    parked;
@@ -44,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.orchestrator import KernelOrchestrator, KernelPolicy
+from repro.faults.plane import FaultInjected, active_plane, fault_site
 from repro.simcore.eventcore import EventCore
 from repro.traffic.arrivals import ArrivalSource, TraceSpec, curated_apps
 from repro.traffic.policy import WarmPoolPolicy
@@ -128,6 +132,8 @@ class ServingReport:
     usage_by_app: Dict[str, object] = field(default_factory=dict)
     #: Execution counters (EventCoreStats), deliberately manifest-external.
     eventcore_stats: Optional[object] = None
+    #: Requests the warm-hit fold served inline (manifest-external too).
+    folded_requests: int = 0
 
     @property
     def cold_start_fraction(self) -> float:
@@ -264,14 +270,22 @@ def percentile_ns(sorted_samples: List[float], q: float) -> float:
 
 
 def _arrivals_program(source: ArrivalSource, router: Router):
-    from repro.faults import FaultInjected, fault_site
-
+    """Deliver the trace to the router, one heap dispatch per arrival --
+    or, when the router folds warm hits, inline for as long as the next
+    arrival is strictly earlier than every heap entry: the arrivals
+    runner would be the very next dispatch anyway."""
+    core = router.core
+    fold = router.source is not None
     while True:
-        deadline = source.arm_next()
-        if deadline is None:
-            return
-        yield deadline
-        arrival = source.take()
+        instant = source.peek_ns()
+        if fold and instant is not None and instant < core.next_key():
+            arrival = source.take_next()
+        else:
+            deadline = source.arm_next()
+            if deadline is None:
+                return
+            yield deadline
+            arrival = source.take()
         try:
             with fault_site("traffic.arrival"):
                 router.dispatch(arrival)
@@ -314,9 +328,29 @@ def run_serving(spec: ServeSpec) -> ServingReport:
     per-site call counters are rewound at entry, so the n-th fault
     decision of this run is the n-th decision of any rerun of the same
     spec -- whether the runs share a process, a worker pool, or nothing.
-    """
-    from repro.faults import active_plane
 
+    With no plane installed, warm hits fold: an arrival that finds a
+    pooled worker and nothing else due before the request would finish
+    is served inline, without the three heap dispatches the stepped
+    path spends on it (see ``Router._serve_inline``).  An installed
+    plane -- even an empty one -- runs every request stepped, since
+    fault sites fire per dispatch.  The report is byte-identical either
+    way; :func:`run_serving_stepped` is the differential oracle.
+    """
+    return _run_serving(spec, fold=active_plane() is None)
+
+
+def run_serving_stepped(spec: ServeSpec) -> ServingReport:
+    """The differential oracle of :func:`run_serving`: no warm-hit fold.
+
+    Same spec, same manifest -- but every request goes through the
+    heap: the arrival, the worker's kick, and its post-serve re-entry
+    are each one dispatch.
+    """
+    return _run_serving(spec, fold=False)
+
+
+def _run_serving(spec: ServeSpec, fold: bool) -> ServingReport:
     plane = active_plane()
     if plane is not None:
         plane.reset_counters()
@@ -324,17 +358,18 @@ def run_serving(spec: ServeSpec) -> ServingReport:
     orchestrator = KernelOrchestrator(policy=spec.kernel_policy,
                                       kml=spec.kml)
     apps = curated_apps()
+    source = ArrivalSource(spec.trace, spec.seed,
+                           core.clock_for("arrivals"), apps)
     router = Router(core=core, orchestrator=orchestrator,
                     policy=spec.policy, apps=apps,
                     resilience=spec.resilience,
-                    record_usage=spec.record_usage)
+                    record_usage=spec.record_usage,
+                    source=source if fold else None)
     supervisor = Supervisor(core=core, router=router)
     router.supervisor = supervisor
     core.on_failure = router.on_runner_failure
     supervisor.start()
     router.pre_warm()
-    source = ArrivalSource(spec.trace, spec.seed,
-                           core.clock_for("arrivals"), apps)
     core.spawn("arrivals", _arrivals_program(source, router))
     core.run()          # to quiescence: traffic settled, timeouts resolved
     router.finalize()   # fail leftover work, retire the parked survivors
@@ -402,6 +437,7 @@ def _report(spec: ServeSpec, source: ArrivalSource, router: Router,
             router.usage_by_app() if spec.record_usage else {}
         ),
         eventcore_stats=stats,
+        folded_requests=router.folded,
     )
     _publish_metrics(report)
     return report
@@ -424,6 +460,7 @@ def _publish_metrics(report: ServingReport) -> None:
     METRICS.counter("traffic.quarantines").inc(report.quarantines)
     METRICS.counter("traffic.breaker_opens").inc(report.breaker_opens)
     METRICS.counter("traffic.cold_starts").inc(report.cold_starts)
+    METRICS.counter("traffic.folded_requests").inc(report.folded_requests)
     METRICS.counter("traffic.guests_spawned").inc(report.guests_spawned)
     METRICS.counter("traffic.guests_retired").inc(report.guests_retired)
     METRICS.counter("traffic.guests_failed").inc(report.guests_failed)

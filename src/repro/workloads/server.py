@@ -9,8 +9,8 @@ keeps the application binary unmodified).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 from repro.netstack.path import NetworkPath
 from repro.syscall.dispatch import SyscallEngine
@@ -33,12 +33,27 @@ class RequestProfile:
         return self.packets_in + self.packets_out + self.handshake_packets
 
 
-@dataclass
+def check_request_count(requests: object) -> None:
+    """Reject a request count that is not an int >= 1 (bools included)."""
+    if (isinstance(requests, bool) or not isinstance(requests, int)
+            or requests < 1):
+        raise ValueError(
+            f"requests must be an int >= 1, got {requests!r}"
+        )
+
+
+@dataclass(frozen=True)
 class LinuxServerStack:
     """A server application running on one simulated Linux kernel."""
 
     engine: SyscallEngine
     netpath: NetworkPath
+    #: ``_work_ns(profile, profile.app_ns)`` per profile: the stack is
+    #: frozen and profiles and network paths are immutable, so the memo
+    #: can never go stale.
+    _work: Dict[RequestProfile, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _work_ns(self, profile: RequestProfile, base_ns: float = 0.0) -> float:
         """Network + *base_ns* cost of one request, shared by every path.
@@ -57,6 +72,15 @@ class LinuxServerStack:
             + profile.handshake_packets * self.netpath.connection_packet_ns()
         )
 
+    def _request_work_ns(self, profile: RequestProfile) -> float:
+        """The non-syscall cost the live-run paths charge per request."""
+        work = self._work.get(profile)
+        if work is None:
+            work = self._work[profile] = self._work_ns(
+                profile, profile.app_ns
+            )
+        return work
+
     def request_ns(self, profile: RequestProfile) -> float:
         """Simulated time to serve one request."""
         syscall_ns = sum(
@@ -69,6 +93,15 @@ class LinuxServerStack:
     def requests_per_second(self, profile: RequestProfile) -> float:
         return 1e9 / self.request_ns(profile)
 
+    def request_end_ns(self, profile: RequestProfile,
+                       start_ns: float) -> Optional[float]:
+        """Where serving one request of *profile* from *start_ns* would
+        leave the engine clock, charging nothing (None: the profile needs
+        the stepped loop)."""
+        return self.engine.batch_end_ns(
+            profile.syscalls, self._request_work_ns(profile), start_ns
+        )
+
     def run(self, profile: RequestProfile, requests: int) -> float:
         """Drive *requests* requests through the live engine; returns rps.
 
@@ -77,24 +110,29 @@ class LinuxServerStack:
 
         The per-request costs are batched through
         :meth:`~repro.syscall.dispatch.SyscallEngine.invoke_batch`
-        (closed-form addends, one engine call), bit-for-bit identical to
-        the stepped loop :meth:`run_stepped` replays -- the property the
-        batched-vs-stepped parity test pins.  Profiles with config-gated
-        syscalls fall back to the stepped loop to preserve its
-        charge-then-raise semantics.
+        (closed-form addends from the shared request-cost table, one
+        engine call), bit-for-bit identical to the stepped loop
+        :meth:`run_stepped` replays -- the property the batched-vs-stepped
+        parity test pins.  Profiles with config-gated syscalls fall back
+        to the stepped loop to preserve its charge-then-raise semantics.
+        A request count that is not an int >= 1 raises ``ValueError``
+        before the engine is touched.
         """
-        if self.engine.batch_plan(profile.syscalls) is None:
+        check_request_count(requests)
+        engine = self.engine
+        if engine.batch_plan(profile.syscalls) is None:
             return self.run_stepped(profile, requests)
-        start = self.engine.clock_ns
-        self.engine.invoke_batch(
-            profile.syscalls, self._work_ns(profile, profile.app_ns), requests
+        start = engine.clock_ns
+        end = engine.invoke_batch(
+            profile.syscalls, self._request_work_ns(profile), requests
         )
-        elapsed_s = (self.engine.clock_ns - start) / 1e9
+        elapsed_s = (end - start) / 1e9
         return requests / elapsed_s
 
     def run_stepped(self, profile: RequestProfile, requests: int) -> float:
         """The reference per-request loop (the oracle :meth:`run` must
         match bit-for-bit; also the path for ENOSYS-raising profiles)."""
+        check_request_count(requests)
         start = self.engine.clock_ns
         for _ in range(requests):
             for name in profile.syscalls:

@@ -95,12 +95,20 @@ class TestBatchedEqualsStepped:
         assert (batched.engine.per_syscall_counts
                 == stepped.engine.per_syscall_counts)
 
-    def test_zero_requests_is_zero_division_like_stepped(self):
+    @pytest.mark.parametrize("requests", (0, -3, 2.0, True, None))
+    def test_bad_request_count_is_value_error_on_every_path(self, requests):
+        """Both paths, and ``Guest.serve`` on top of them, reject a count
+        that is not an int >= 1 before the engine is touched."""
+        from repro.simcore.guest import variant_guest
+
         batched, stepped = _pair(build_microvm())
-        with pytest.raises(ZeroDivisionError):
-            batched.run(REDIS_GET, 0)
-        with pytest.raises(ZeroDivisionError):
-            stepped.run_stepped(REDIS_GET, 0)
+        guest = variant_guest(Variant.LUPINE_NOKML, app="redis")
+        for serve in (batched.run, stepped.run_stepped, guest.serve):
+            with pytest.raises(ValueError, match="int >= 1"):
+                serve(REDIS_GET, requests)
+        for engine in (batched.engine, stepped.engine, guest.engine):
+            assert engine.clock_ns == 0.0 and engine.call_count == 0
+        assert guest.requests_served == 0
 
     def test_unsupported_syscall_falls_back_to_stepped_semantics(self):
         from repro.netstack.path import NetworkPath

@@ -3,7 +3,8 @@
 - ``ResolvedConfig.enabled``/``builtin``/``modules`` are computed once per
   instance; the oracle is a fresh recomputation from ``values``, which is
   read-only so the stored sets cannot go stale.
-- ``SyscallEngine.invoke_batch`` folds from a per-engine plan; the oracle
+- ``SyscallEngine.invoke_batch`` folds from a per-engine plan, single
+  requests from a request-cost table shared across engines; the oracle
   is stepped ``invoke`` plus ``cpu_work`` on a twin engine.
 - ``fault_site`` with no plane installed is a shared no-op; the oracle is
   the installed-plane path, which must take over at the very next entry.
@@ -154,6 +155,22 @@ class TestBatchPlan:
         assert batched.call_count > 1000
         assert batched.per_syscall_counts == stepped.per_syscall_counts
         assert batched.batch_plan(BATCH) is batched.batch_plan(list(BATCH))
+
+    def test_request_rows_are_shared_and_match_stepped_and_peek(self):
+        batched, stepped = _twins()
+        other, _ = _twins()
+        work_ns = 777.25
+        for _ in range(1200):  # past the jitter phase wrap
+            start = batched.clock_ns
+            peek = batched.batch_end_ns(BATCH, work_ns, start)
+            clock = batched.invoke_batch(BATCH, work_ns, 1)
+            _stepped(stepped, BATCH, work_ns, 1)
+            assert peek == clock == stepped.clock_ns  # identical bits
+        other.invoke_batch(BATCH, work_ns, 1)
+        # One table row list per (cost model, names, work ns), whichever
+        # engine asked first.
+        assert (batched.batch_plan(BATCH).phase_rows[work_ns]
+                is other.batch_plan(BATCH).phase_rows[work_ns])
 
     def test_plan_follows_a_replaced_cost_model(self):
         batched, stepped = _twins()

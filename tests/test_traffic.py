@@ -89,6 +89,22 @@ class TestArrivalGenerators:
         with pytest.raises(ValueError):
             next(zipf_app_mix([], spec, seed=0))
 
+    @pytest.mark.parametrize("seed", (0, 11, 2020))
+    def test_zipf_mix_matches_per_draw_weights(self, seed):
+        """Precomputed cumulative weights draw exactly what
+        ``choices(weights=...)`` draws, one draw at a time."""
+        from repro.traffic.arrivals import _mix_rng
+
+        spec = poisson_trace(requests=1, mean_rps=1.0, zipf_s=1.1)
+        apps = curated_apps()
+        mix = zipf_app_mix(apps, spec, seed=seed)
+        rng = _mix_rng(seed)
+        weights = [1.0 / (rank + 1) ** spec.zipf_s
+                   for rank in range(len(apps))]
+        expected = [rng.choices(apps, weights=weights, k=1)[0]
+                    for _ in range(10_000)]
+        assert [next(mix) for _ in range(10_000)] == expected
+
     def test_curated_apps_are_popularity_ranked_serving_profiles(self):
         from repro.apps.registry import top20_in_popularity_order
 
@@ -352,3 +368,15 @@ class TestBenchServe:
         )
         failures = check_result(result)
         assert any("buy the tail back" in f for f in failures)
+
+    def test_checker_flags_a_fold_that_fell_back(self):
+        from repro.traffic.bench import check_result
+
+        baseline = REPO_ROOT / "benchmarks" / "baseline" / "BENCH_serve.json"
+        result = json.loads(baseline.read_text(encoding="utf-8"))
+        served = result["gauges"]["serve.requests.serve_fixed_pool"]
+        result["counters"]["traffic.folded_requests.serve_fixed_pool"] = (
+            int(0.89 * served)
+        )
+        failures = check_result(result)
+        assert any("fell back to stepping" in f for f in failures)

@@ -33,7 +33,8 @@
 # diurnal trace per warm-pool policy, each run twice: manifests must
 # reproduce byte-identically, scale-to-zero must cold-boot >= 1000
 # guests with a nonzero cold-start fraction, the fixed pool must buy
-# the latency tail back, and the chaos scenario must recover -- nonzero
+# the latency tail back, the warm-hit fold must serve >= 90% of the
+# fixed pool's requests, and the chaos scenario must recover -- nonzero
 # restarts/retries, error rate below the injected fault mass, request
 # conservation) and regresses its counters and digests against
 # benchmarks/baseline/BENCH_serve.json.
@@ -43,6 +44,8 @@
 # the serving resilience invariants: faulted reruns and the --jobs
 # policy sweep are byte-identical, and an installed-but-empty fault
 # plane reproduces the committed BENCH_serve.json digests exactly.
+# An installed plane turns the warm-hit fold off, so that last check
+# is also the stepped oracle against the folded runs' pins.
 #
 # The derive gate runs bench-derive --check twice -- at --jobs 2 and
 # --jobs 3 -- and regresses both runs against the same
@@ -100,13 +103,15 @@ echo "==> fault-site registry drift check"
 python "$REPO_ROOT/tools/check_fault_sites.py"
 
 echo "==> tier-1 test suite"
-(cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest -q)
+# No -q here: pyproject's addopts already passes one, and a second would
+# drop each step's "N passed in Xs" summary line.
+(cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest)
 
 echo "==> benchmark hygiene tests (perfbench wrappers, metric names)"
-(cd "$REPO_ROOT" && python -m pytest -q perfbench/tests)
+(cd "$REPO_ROOT" && python -m pytest perfbench/tests)
 
 echo "==> paper benchmarks (renderers + paper bounds, timing disabled)"
-(cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest -q benchmarks/ \
+(cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest benchmarks/ \
     --benchmark-disable)
 
 echo "==> EXPERIMENTS.md generator (from a temp cwd, no PYTHONPATH)"
@@ -118,7 +123,7 @@ grep -q "Running the experiments" "$TMP_DIR/EXPERIMENTS.md"
 grep -q "Run manifest schema" "$TMP_DIR/EXPERIMENTS.md"
 
 echo "==> resolver differential suite (worklist vs sweep oracle)"
-(cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest -q \
+(cd "$REPO_ROOT" && PYTHONPATH=src python -m pytest \
     tests/kconfig/test_resolver_differential.py)
 
 echo "==> warm run-all + regression gate"
